@@ -2,54 +2,26 @@
 
 A candidate of order n is a product table together with an alpha table,
 n**(n*n) * n**n in all, so full censuses stop at order 3.  Iteration is
-deterministic: product tables vary row-major, alpha tables innermost, and
-the law checks run on raw index tuples so the scan stays cheap.
+deterministic: product tables vary row-major, alpha tables innermost.  One
+scan loop serves both the census and the filtered stream, and it checks the
+laws with the index-level kernel from finite.py, the same code behind the
+check_* functions.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from .finite import FiniteHomMagma
+from .finite import _assoc_witness, _hom_witness, _invol_witness, _mult_witness
 
 _LABELS = ("a", "b", "c", "d")
 
 Quad = Tuple[bool, bool, bool, bool]
-
-
-def _hom_ok(mul, alpha, n) -> bool:
-    for i in range(n):
-        ai = alpha[i]
-        for j in range(n):
-            mij = mul[i][j]
-            for k in range(n):
-                if mul[ai][mul[j][k]] != mul[mij][alpha[k]]:
-                    return False
-    return True
-
-
-def _assoc_ok(mul, n) -> bool:
-    for i in range(n):
-        for j in range(n):
-            mij = mul[i][j]
-            for k in range(n):
-                if mul[mij][k] != mul[i][mul[j][k]]:
-                    return False
-    return True
-
-
-def _mult_ok(mul, alpha, n) -> bool:
-    for i in range(n):
-        for j in range(n):
-            if alpha[mul[i][j]] != mul[alpha[i]][alpha[j]]:
-                return False
-    return True
-
-
-def _invol_ok(alpha, n) -> bool:
-    return all(alpha[alpha[i]] == i for i in range(n))
 
 
 def canonical_form(mul, alpha) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -72,11 +44,6 @@ def canonical_form(mul, alpha) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         if best is None or cand < best:
             best = cand
     return best
-
-
-def _is_canonical(mul, alpha, n) -> bool:
-    flat = (tuple(mul[i][j] for i in range(n) for j in range(n)), tuple(alpha))
-    return flat == canonical_form(mul, alpha)
 
 
 @dataclass(frozen=True)
@@ -108,25 +75,47 @@ class Census:
         return total
 
 
+def _scan(
+    n, hom_associative, associative, multiplicative, involutive_alpha, up_to_iso
+) -> Iterator[Tuple[tuple, tuple, Quad]]:
+    """Yield (mul, alpha, quad) for each order-n candidate passing the filters.
+
+    Filters are three-valued as in iter_matching.  Laws run cheapest first
+    (involution once per alpha, associativity once per product table, then
+    hom-associativity and multiplicativity), and the canonical-form test
+    last, so a rejected candidate costs as little as possible.
+    """
+    want_hom, want_assoc, want_mult, want_invol = (
+        (False, True) if law is None else (law,)
+        for law in (hom_associative, associative, multiplicative, involutive_alpha)
+    )
+    rows = list(itertools.product(range(n), repeat=n))
+    alphas = [(al, _invol_witness(al, n) is None) for al in rows]
+    alphas = [(al, invol) for al, invol in alphas if invol in want_invol]
+    for mul in itertools.product(rows, repeat=n):
+        assoc = _assoc_witness(mul, n) is None
+        if assoc not in want_assoc:
+            continue
+        for al, invol in alphas:
+            hom = _hom_witness(mul, al, n) is None
+            if hom not in want_hom:
+                continue
+            mult = _mult_witness(mul, al, n) is None
+            if mult not in want_mult:
+                continue
+            if up_to_iso and (sum(mul, ()), al) != canonical_form(mul, al):
+                continue
+            yield mul, al, (hom, assoc, mult, invol)
+
+
 def census(order: int, up_to_iso: bool = False) -> Census:
     """Classify every candidate of the given order against all four laws."""
     if not 1 <= order <= 3:
         raise ValueError("census is exhaustive, order must be 1, 2, or 3")
-    n = order
-    rows = list(itertools.product(range(n), repeat=n))
-    alphas = rows
-    invol = {al: _invol_ok(al, n) for al in alphas}
     counts = {q: 0 for q in itertools.product((False, True), repeat=4)}
-    total = 0
-    for mul in itertools.product(rows, repeat=n):
-        assoc = _assoc_ok(mul, n)
-        for al in alphas:
-            total += 1
-            if up_to_iso and not _is_canonical(mul, al, n):
-                continue
-            quad = (_hom_ok(mul, al, n), assoc, _mult_ok(mul, al, n), invol[al])
-            counts[quad] += 1
-    return Census(order=n, total_candidates=total, counts=counts, up_to_iso=up_to_iso)
+    scan = _scan(order, None, None, None, None, up_to_iso)
+    counts.update(collections.Counter(map(operator.itemgetter(2), scan)))
+    return Census(order, order ** (order * order + order), counts, up_to_iso)
 
 
 def iter_matching(
@@ -147,33 +136,8 @@ def iter_matching(
     """
     if not 1 <= order <= 4:
         raise ValueError("order must be between 1 and 4")
-    return _matching(
-        order,
-        hom_associative,
-        associative,
-        multiplicative,
-        involutive_alpha,
-        up_to_iso,
+    labels = _LABELS[:order]
+    scan = _scan(
+        order, hom_associative, associative, multiplicative, involutive_alpha, up_to_iso
     )
-
-
-def _matching(
-    order, hom_associative, associative, multiplicative, involutive_alpha, up_to_iso
-):
-    n = order
-    labels = _LABELS[:n]
-    alphas = list(itertools.product(range(n), repeat=n))
-    if involutive_alpha is not None:
-        alphas = [al for al in alphas if _invol_ok(al, n) == involutive_alpha]
-    rows = list(itertools.product(range(n), repeat=n))
-    for mul in itertools.product(rows, repeat=n):
-        if associative is not None and _assoc_ok(mul, n) != associative:
-            continue
-        for al in alphas:
-            if hom_associative is not None and _hom_ok(mul, al, n) != hom_associative:
-                continue
-            if multiplicative is not None and _mult_ok(mul, al, n) != multiplicative:
-                continue
-            if up_to_iso and not _is_canonical(mul, al, n):
-                continue
-            yield FiniteHomMagma(labels, mul, al)
+    return (FiniteHomMagma(labels, mul, al) for mul, al, _ in scan)

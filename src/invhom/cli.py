@@ -30,7 +30,7 @@ from .expressions import (
     word_value,
 )
 from .finite import adjoin_zero, classify, structure_from_dict, structure_to_dict
-from .universal import GeneratorAssignment, extend
+from .universal import GeneratorAssignment, _require_lawful, _UnlawfulTarget, extend
 from .words import alpha_word, render_word
 
 
@@ -106,18 +106,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_eval(args) -> int:
     target = _load_structure(args.target)
-    report = classify(target)
-    required = (
-        ("hom-associative", report.hom_associative, report.hom_witness),
-        ("multiplicative", report.multiplicative, report.mult_witness),
-        ("involutive", report.involutive_alpha, report.invol_witness),
-    )
-    for law, holds, wit in required:
-        if not holds:
-            parts = wit if isinstance(wit, tuple) else (wit,)
-            raise _CliError(
-                1, "target is not %s, witness: %s" % (law, " ".join(parts))
-            )
+    try:
+        _require_lawful(target)
+    except _UnlawfulTarget as e:
+        raise _CliError(
+            1, "target is not %s, witness: %s" % (e.law, " ".join(e.witness))
+        )
     mapping = {}
     for item in args.map or []:
         name, sep, label = item.partition("=")
@@ -189,6 +183,9 @@ def _cmd_adjoin_zero(args) -> int:
     return 0
 
 
+_EXPR_HELP = "the expression; put -- before one that starts with '-': -- \"-x\""
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invhom",
@@ -197,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prod", help="evaluate an expression")
-    p.add_argument("expr")
+    p.add_argument("expr", help=_EXPR_HELP)
     p.add_argument("--echo", action="store_true", help="print the parse first, fully parenthesized")
     p.add_argument(
         "--generate",
@@ -207,12 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_prod)
 
     p = sub.add_parser("alpha", help="apply the involution to an expression")
-    p.add_argument("expr")
+    p.add_argument("expr", help=_EXPR_HELP)
     p.add_argument("--echo", action="store_true")
     p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("expand", help="evaluate in the linear span")
-    p.add_argument("expr")
+    p.add_argument("expr", help=_EXPR_HELP)
     p.add_argument("--echo", action="store_true")
     p.set_defaults(func=_cmd_expand)
 
@@ -221,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("eval", help="evaluate a word in a finite target structure")
-    p.add_argument("expr")
+    p.add_argument("expr", help=_EXPR_HELP)
     p.add_argument("--target", required=True, help="structure file (JSON)")
     p.add_argument(
         "--map",

@@ -34,22 +34,24 @@ class FiniteHomMagma:
         n = len(labels)
         if n == 0:
             raise ValueError("a structure has at least one element")
-        for lab in labels:
+        for i, lab in enumerate(labels):
             if not isinstance(lab, str) or not lab:
-                raise ValueError("labels must be nonempty strings")
-        if len(set(labels)) != n:
-            raise ValueError("labels must be distinct")
-        if len(mul) != n or any(len(row) != n for row in mul):
-            raise ValueError("mul must be an %d by %d table" % (n, n))
-        for row in mul:
-            for v in row:
+                raise ValueError("labels entry %d must be a nonempty string" % i)
+            if lab in labels[:i]:
+                raise ValueError("labels entry %d repeats %r" % (i, lab))
+        if len(mul) != n:
+            raise ValueError("mul must have %d rows" % n)
+        for r, row in enumerate(mul):
+            if len(row) != n:
+                raise ValueError("mul row %d must have %d entries" % (r, n))
+            for c, v in enumerate(row):
                 if not isinstance(v, int) or not 0 <= v < n:
-                    raise ValueError("mul entries must be element indices")
+                    raise ValueError("mul row %d, column %d: not an index" % (r, c))
         if len(alpha) != n:
-            raise ValueError("alpha must have one entry per element")
-        for v in alpha:
+            raise ValueError("alpha must have %d entries" % n)
+        for c, v in enumerate(alpha):
             if not isinstance(v, int) or not 0 <= v < n:
-                raise ValueError("alpha entries must be element indices")
+                raise ValueError("alpha entry %d: not an index" % c)
 
     @property
     def order(self) -> int:
@@ -62,45 +64,72 @@ class FiniteHomMagma:
             raise ValueError("unknown label %r" % (label,)) from None
 
 
+# The law kernel: the first violation in index order, as indices, or None.
+# The census scan calls it once per candidate, hence the shared range object.
+
+
+def _hom_witness(mul, alpha, n) -> Optional[Tuple[int, int, int]]:
+    r = range(n)
+    for i in r:
+        ai = alpha[i]
+        for j in r:
+            mij = mul[i][j]
+            for k in r:
+                if mul[ai][mul[j][k]] != mul[mij][alpha[k]]:
+                    return (i, j, k)
+    return None
+
+
+def _assoc_witness(mul, n) -> Optional[Tuple[int, int, int]]:
+    r = range(n)
+    for i in r:
+        for j in r:
+            mij = mul[i][j]
+            for k in r:
+                if mul[mij][k] != mul[i][mul[j][k]]:
+                    return (i, j, k)
+    return None
+
+
+def _mult_witness(mul, alpha, n) -> Optional[Tuple[int, int]]:
+    r = range(n)
+    for i in r:
+        for j in r:
+            if alpha[mul[i][j]] != mul[alpha[i]][alpha[j]]:
+                return (i, j)
+    return None
+
+
+def _invol_witness(alpha, n) -> Optional[int]:
+    for i in range(n):
+        if alpha[alpha[i]] != i:
+            return i
+    return None
+
+
+def _as_labels(m: FiniteHomMagma, idx):
+    return None if idx is None else tuple(m.labels[i] for i in idx)
+
+
 def check_hom_associative(m: FiniteHomMagma) -> Optional[Tuple[str, str, str]]:
     """First triple (as labels) violating alpha(x)(yz) = (xy)alpha(z)."""
-    mul, al = m.mul, m.alpha
-    for i in range(m.order):
-        for j in range(m.order):
-            for k in range(m.order):
-                if mul[al[i]][mul[j][k]] != mul[mul[i][j]][al[k]]:
-                    return (m.labels[i], m.labels[j], m.labels[k])
-    return None
+    return _as_labels(m, _hom_witness(m.mul, m.alpha, m.order))
 
 
 def check_associative(m: FiniteHomMagma) -> Optional[Tuple[str, str, str]]:
     """First triple (as labels) violating (xy)z = x(yz)."""
-    mul = m.mul
-    for i in range(m.order):
-        for j in range(m.order):
-            for k in range(m.order):
-                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-                    return (m.labels[i], m.labels[j], m.labels[k])
-    return None
+    return _as_labels(m, _assoc_witness(m.mul, m.order))
 
 
 def check_multiplicative(m: FiniteHomMagma) -> Optional[Tuple[str, str]]:
     """First pair (as labels) violating alpha(xy) = alpha(x)alpha(y)."""
-    mul, al = m.mul, m.alpha
-    for i in range(m.order):
-        for j in range(m.order):
-            if al[mul[i][j]] != mul[al[i]][al[j]]:
-                return (m.labels[i], m.labels[j])
-    return None
+    return _as_labels(m, _mult_witness(m.mul, m.alpha, m.order))
 
 
 def check_involutive_alpha(m: FiniteHomMagma) -> Optional[str]:
     """First element (as a label) violating alpha(alpha(x)) = x."""
-    al = m.alpha
-    for i in range(m.order):
-        if al[al[i]] != i:
-            return m.labels[i]
-    return None
+    i = _invol_witness(m.alpha, m.order)
+    return None if i is None else m.labels[i]
 
 
 _LAW_ROWS = (
@@ -251,43 +280,31 @@ def structure_to_dict(m: FiniteHomMagma) -> dict:
 
 
 def structure_from_dict(data: object) -> FiniteHomMagma:
-    """Parse the dict form, reporting the offending position on bad input."""
+    """Parse the dict form, reporting the offending position on bad input.
+
+    Only the dict form is checked here; FiniteHomMagma checks the rest.
+    """
     if not isinstance(data, dict):
         raise ValueError("structure must be an object with labels, mul, alpha")
     for key in ("labels", "mul", "alpha"):
         if key not in data:
             raise ValueError("structure is missing %r" % (key,))
+        if not isinstance(data[key], list):
+            raise ValueError("%s must be a list" % key)
     labels = data["labels"]
-    if not isinstance(labels, list) or not labels:
-        raise ValueError("labels must be a nonempty list")
-    for i, lab in enumerate(labels):
-        if not isinstance(lab, str) or not lab:
-            raise ValueError("labels entry %d must be a nonempty string" % i)
-    if len(set(labels)) != len(labels):
-        raise ValueError("labels must be distinct")
-    n = len(labels)
-    pos = {lab: i for i, lab in enumerate(labels)}
-    raw_mul = data["mul"]
-    if not isinstance(raw_mul, list) or len(raw_mul) != n:
-        raise ValueError("mul must be a list of %d rows" % n)
-    mul = []
-    for r, row in enumerate(raw_mul):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValueError("mul row %d must have %d entries" % (r, n))
-        out = []
-        for c, v in enumerate(row):
-            if not isinstance(v, str) or v not in pos:
-                raise ValueError(
-                    "mul row %d, column %d: unknown label %r" % (r, c, v)
-                )
-            out.append(pos[v])
-        mul.append(tuple(out))
-    raw_alpha = data["alpha"]
-    if not isinstance(raw_alpha, list) or len(raw_alpha) != n:
-        raise ValueError("alpha must be a list of %d entries" % n)
-    alpha = []
-    for c, v in enumerate(raw_alpha):
+    pos = {lab: i for i, lab in enumerate(labels) if isinstance(lab, str)}
+
+    def index(v, where, *at):
         if not isinstance(v, str) or v not in pos:
-            raise ValueError("alpha entry %d: unknown label %r" % (c, v))
-        alpha.append(pos[v])
-    return FiniteHomMagma(tuple(labels), tuple(mul), tuple(alpha))
+            raise ValueError(where % at + ": unknown label %r" % (v,))
+        return pos[v]
+
+    mul = []
+    for r, row in enumerate(data["mul"]):
+        if not isinstance(row, list):
+            raise ValueError("mul row %d must be a list" % r)
+        mul.append(
+            tuple(index(v, "mul row %d, column %d", r, c) for c, v in enumerate(row))
+        )
+    alpha = tuple(index(v, "alpha entry %d", c) for c, v in enumerate(data["alpha"]))
+    return FiniteHomMagma(tuple(labels), tuple(mul), alpha)

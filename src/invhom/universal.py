@@ -24,6 +24,33 @@ from .finite import (
 from .words import Letter, Word, alpha_power, alpha_word, diamond, iter_words
 
 
+# Each law an extension target needs: the name `eval` reports, the checker,
+# and the constructor's message.
+_TARGET_LAWS = (
+    ("hom-associative", check_hom_associative, "target is not hom-associative"),
+    ("multiplicative", check_multiplicative, "target alpha is not multiplicative"),
+    ("involutive", check_involutive_alpha, "target alpha is not an involution"),
+)
+
+
+class _UnlawfulTarget(ValueError):
+    """A target breaking a law the extension needs, with the law and witness."""
+
+    def __init__(self, law: str, witness: Tuple[str, ...], message: str):
+        super().__init__(message)
+        self.law, self.witness = law, witness
+
+
+def _require_lawful(target: FiniteHomMagma) -> None:
+    """Raise _UnlawfulTarget for the first target law that fails."""
+    for law, check, message in _TARGET_LAWS:
+        wit = check(target)
+        if wit is not None:
+            parts = wit if isinstance(wit, tuple) else (wit,)
+            shown = "(%s)" % ", ".join(wit) if isinstance(wit, tuple) else wit
+            raise _UnlawfulTarget(law, parts, "%s, witness %s" % (message, shown))
+
+
 @dataclass(frozen=True)
 class GeneratorAssignment:
     target: FiniteHomMagma
@@ -35,19 +62,7 @@ class GeneratorAssignment:
             Letter(name)
             if not isinstance(v, int) or not 0 <= v < self.target.order:
                 raise ValueError("generator %r must map to an element index" % name)
-        wit = check_hom_associative(self.target)
-        if wit is not None:
-            raise ValueError(
-                "target is not hom-associative, witness (%s, %s, %s)" % wit
-            )
-        pair = check_multiplicative(self.target)
-        if pair is not None:
-            raise ValueError(
-                "target alpha is not multiplicative, witness (%s, %s)" % pair
-            )
-        lab = check_involutive_alpha(self.target)
-        if lab is not None:
-            raise ValueError("target alpha is not an involution, witness %s" % lab)
+        _require_lawful(self.target)
 
     @classmethod
     def from_labels(cls, target: FiniteHomMagma, mapping: Dict[str, str]):
@@ -56,17 +71,17 @@ class GeneratorAssignment:
 
 def extend(assign: GeneratorAssignment, w: Word) -> int:
     """Image of a word under the induced morphism, as a target index."""
-    letters = w.letters
-    head = letters[0]
-    try:
-        img = assign.mapping[head.name]
-    except KeyError:
-        raise ValueError("no image assigned to generator %r" % head.name) from None
-    if head.bit:
-        img = assign.target.alpha[img]
-    if len(letters) == 1:
-        return img
-    return assign.target.mul[img][extend(assign, Word(letters[1:]))]
+    mapping, mul, al = assign.mapping, assign.target.mul, assign.target.alpha
+    imgs = []  # left to right, so the leftmost unmapped generator is reported
+    for letter in w.letters:
+        if letter.name not in mapping:
+            raise ValueError("no image assigned to generator %r" % letter.name)
+        img = mapping[letter.name]
+        imgs.append(al[img] if letter.bit else img)
+    img = imgs.pop()
+    for left in reversed(imgs):
+        img = mul[left][img]
+    return img
 
 
 def _random_word(rng: random.Random, names, max_len: int) -> Word:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from invhom.census import Census, canonical_form, census, iter_matching
-from invhom.finite import classify, fixture, relabel
+from invhom.finite import FiniteHomMagma, classify, fixture, relabel
 
 # frozen counts for order 2, keyed (hom, assoc, mult, invol)
 ORDER2_COUNTS = {
@@ -123,3 +123,44 @@ def test_iso_and_raw_censuses_are_consistent():
     for quad, k in iso.counts.items():
         # a class of order-2 structures has at most 2 members
         assert k <= raw.counts[quad] <= 2 * k
+
+
+def _order2_candidates():
+    # scan order: product tables row-major, alpha tables innermost
+    rows = list(itertools.product((0, 1), repeat=2))
+    for mul in itertools.product(rows, repeat=2):
+        for al in rows:
+            r = classify(FiniteHomMagma(("a", "b"), mul, al))
+            quad = (
+                r.hom_associative,
+                r.associative,
+                r.multiplicative,
+                r.involutive_alpha,
+            )
+            flat = (tuple(v for row in mul for v in row), al)
+            yield mul, al, quad, flat == canonical_form(mul, al)
+
+
+ORDER2 = list(_order2_candidates())
+
+
+@pytest.mark.parametrize("up_to_iso", [False, True])
+def test_stream_honours_every_filter_combination(up_to_iso):
+    for wanted in itertools.product((None, False, True), repeat=4):
+        expected = [
+            (mul, al)
+            for mul, al, quad, canonical in ORDER2
+            if all(w is None or w == q for w, q in zip(wanted, quad))
+            and (canonical or not up_to_iso)
+        ]
+        stream = iter_matching(2, *wanted, up_to_iso=up_to_iso)
+        assert [(m.mul, m.alpha) for m in stream] == expected, wanted
+
+
+@pytest.mark.parametrize("up_to_iso", [False, True])
+def test_census_buckets_match_classify(up_to_iso):
+    expected = {q: 0 for q in itertools.product((False, True), repeat=4)}
+    for _, _, quad, canonical in ORDER2:
+        if canonical or not up_to_iso:
+            expected[quad] += 1
+    assert census(2, up_to_iso=up_to_iso).counts == expected

@@ -79,6 +79,10 @@ def test_expand_command(run):
     assert out == "1/2 . x\n"
 
 
+def test_expression_with_a_leading_minus_follows_double_dash(run):
+    assert run("expand", "--", "-x") == (0, "-x\n", "")
+
+
 def test_parse_errors_exit_2(run):
     code, _, err = run("prod", "2 x")
     assert code == 2
@@ -141,7 +145,11 @@ def test_eval_requires_a_lawful_target(run, tmp_path):
     path = write_structure(tmp_path, fixture("hom_not_sg"))
     code, _, err = run("eval", "x", "--target", path, "--map", "x=x")
     assert code == 1
-    assert "involutive" in err and "witness: x" in err
+    assert err == "target is not involutive, witness: x\n"
+    # the law failure wins over a malformed --map
+    code, _, err = run("eval", "x", "--target", path, "--map", "x")
+    assert code == 1
+    assert err == "target is not involutive, witness: x\n"
 
 
 def test_eval_usage_errors(run, tmp_path):

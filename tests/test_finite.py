@@ -78,14 +78,20 @@ def test_witnesses_are_index_lexicographic():
 def test_structure_validation():
     with pytest.raises(ValueError):
         FiniteHomMagma((), (), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="labels entry 1"):
         FiniteHomMagma(("a", "a"), ((0, 0), (0, 0)), (0, 0))
+    with pytest.raises(ValueError, match="labels entry 1"):
+        FiniteHomMagma(("a", ""), ((0, 0), (0, 0)), (0, 0))
     with pytest.raises(ValueError):
         FiniteHomMagma(("a", "b"), ((0, 0),), (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mul row 1"):
+        FiniteHomMagma(("a", "b"), ((0, 0), (0,)), (0, 0))
+    with pytest.raises(ValueError, match="row 0, column 1"):
         FiniteHomMagma(("a", "b"), ((0, 2), (0, 0)), (0, 0))
     with pytest.raises(ValueError):
         FiniteHomMagma(("a", "b"), ((0, 0), (0, 0)), (0,))
+    with pytest.raises(ValueError, match="alpha entry 1"):
+        FiniteHomMagma(("a", "b"), ((0, 0), (0, 0)), (0, -1))
 
 
 def test_law_report_rejects_inconsistent_witnesses():
@@ -215,3 +221,7 @@ def test_dict_errors_carry_positions():
         structure_from_dict(bad2)
     with pytest.raises(ValueError, match="missing"):
         structure_from_dict({"labels": ["a"], "mul": [["a"]]})
+    with pytest.raises(ValueError, match="alpha must be a list"):
+        structure_from_dict({**good, "alpha": "yxz"})
+    with pytest.raises(ValueError, match="labels entry 3"):
+        structure_from_dict({**good, "labels": ["x", "y", "z", "z"]})

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,25 @@ def test_extend_requires_every_generator_mapped():
     f = swap_assignment(x="x")
     with pytest.raises(ValueError, match="'y'"):
         extend(f, parse_word("x y"))
+    # the leftmost unmapped generator is the one reported
+    with pytest.raises(ValueError, match="'y'"):
+        extend(f, parse_word("x y z"))
+
+
+def test_extend_handles_very_long_words():
+    # x * y = -(x + y) and alpha(x) = -x on Z/3: lawful, and not associative,
+    # so the direction of the fold shows in the result
+    table = tuple(tuple(-(i + j) % 3 for j in range(3)) for i in range(3))
+    m = FiniteHomMagma(("0", "1", "2"), table, (0, 2, 1))
+    f = GeneratorAssignment(m, {"x": 1, "y": 2})
+    rng = random.Random(20000)
+    letters = tuple(Letter(rng.choice("xy"), rng.randint(0, 1)) for _ in range(20000))
+    # plain right fold: letter images, then multiply in from the right
+    imgs = [m.alpha[f.mapping[l.name]] if l.bit else f.mapping[l.name] for l in letters]
+    img = imgs[-1]
+    for left in imgs[-2::-1]:
+        img = m.mul[left][img]
+    assert extend(f, Word(letters)) == img
 
 
 @given(words, words)
