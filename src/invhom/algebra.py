@@ -8,6 +8,7 @@ of coefficient dictionaries.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -24,14 +25,6 @@ def _coerce(c: Scalar) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError("coefficients must be ints or Fractions, got %r" % (c,))
-
-
-def _bump(acc: Dict[Word, Fraction], w: Word, c: Fraction) -> None:
-    tot = acc.get(w, _ZERO) + c
-    if tot:
-        acc[w] = tot
-    else:
-        acc.pop(w, None)
 
 
 def _term_key(w: Word):
@@ -53,7 +46,11 @@ class AlgebraElement:
         for w, c in items:
             if not isinstance(w, Word):
                 raise TypeError("terms must be keyed by words, got %r" % (w,))
-            _bump(acc, w, _coerce(c))
+            tot = acc.get(w, _ZERO) + _coerce(c)
+            if tot:
+                acc[w] = tot
+            else:
+                acc.pop(w, None)
         self.terms = acc
 
     @classmethod
@@ -98,8 +95,6 @@ class AlgebraElement:
         return NotImplemented
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         bits = []
         for w in sorted(self.terms, key=_term_key):
             c = self.terms[w]
@@ -109,33 +104,28 @@ class AlgebraElement:
                 bits.append(body if c > 0 else "-" + body)
             else:
                 bits.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(bits)
+        return " ".join(bits) or "0"
 
     def __repr__(self):
         return str(self)
 
 
 def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    acc = dict(a.terms)
-    for w, c in b.terms.items():
-        _bump(acc, w, c)
-    return AlgebraElement(acc)
+    return AlgebraElement(itertools.chain(a.terms.items(), b.terms.items()))
 
 
 def scale(c: Scalar, a: AlgebraElement) -> AlgebraElement:
     c = _coerce(c)
-    if not c:
-        return AlgebraElement.zero()
     return AlgebraElement({w: c * coeff for w, coeff in a.terms.items()})
 
 
 def diamond_alg(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the twisted product of words."""
-    acc: Dict[Word, Fraction] = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            _bump(acc, diamond(u, v), cu * cv)
-    return AlgebraElement(acc)
+    return AlgebraElement(
+        (diamond(u, v), cu * cv)
+        for u, cu in a.terms.items()
+        for v, cv in b.terms.items()
+    )
 
 
 def alpha_alg(a: AlgebraElement) -> AlgebraElement:

@@ -18,12 +18,12 @@ import json
 import sys
 from typing import List, Optional
 
-from .algebra import alpha_alg
 from .census import census, iter_matching
 from .expressions import (
+    Alpha,
     ModeError,
     ParseError,
-    algebra_value,
+    evaluate,
     generator_expression,
     parse_expression,
     render_expr,
@@ -31,7 +31,7 @@ from .expressions import (
 )
 from .finite import adjoin_zero, classify, structure_from_dict, structure_to_dict
 from .universal import GeneratorAssignment, _require_lawful, _UnlawfulTarget, extend
-from .words import alpha_word, render_word
+from .words import Word
 
 
 class _CliError(Exception):
@@ -57,44 +57,17 @@ def _load_structure(path: str):
         raise _CliError(2, "%s: %s" % (path, e))
 
 
-def _auto_value(node):
-    try:
-        return "word", word_value(node)
-    except ModeError:
-        return "algebra", algebra_value(node)
-
-
-def _cmd_prod(args) -> int:
+def _cmd_value(args) -> int:
+    """prod, alpha and expand: parse, echo, evaluate once, print."""
     node = parse_expression(args.expr)
     if args.echo:
         print(render_expr(node))
-    kind, value = _auto_value(node)
+    value = evaluate(Alpha(node) if args.command == "alpha" else node)
     if args.generate:
-        if kind != "word":
+        if not isinstance(value, Word):
             raise _CliError(2, "--generate needs a plain word, not a combination")
-        print(generator_expression(value))
-        return 0
-    print(render_word(value) if kind == "word" else value)
-    return 0
-
-
-def _cmd_alpha(args) -> int:
-    node = parse_expression(args.expr)
-    if args.echo:
-        print(render_expr(node))
-    kind, value = _auto_value(node)
-    if kind == "word":
-        print(render_word(alpha_word(value)))
-    else:
-        print(alpha_alg(value))
-    return 0
-
-
-def _cmd_expand(args) -> int:
-    node = parse_expression(args.expr)
-    if args.echo:
-        print(render_expr(node))
-    print(algebra_value(node))
+        value = generator_expression(value)
+    print(value)
     return 0
 
 
@@ -201,17 +174,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print a product-of-generators expression for the resulting word",
     )
-    p.set_defaults(func=_cmd_prod)
+    p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("alpha", help="apply the involution to an expression")
     p.add_argument("expr", help=_EXPR_HELP)
     p.add_argument("--echo", action="store_true")
-    p.set_defaults(func=_cmd_alpha)
+    p.set_defaults(func=_cmd_value, generate=False)
 
     p = sub.add_parser("expand", help="evaluate in the linear span")
     p.add_argument("expr", help=_EXPR_HELP)
     p.add_argument("--echo", action="store_true")
-    p.set_defaults(func=_cmd_expand)
+    p.set_defaults(func=_cmd_value, generate=False)
 
     p = sub.add_parser("check", help="report which laws a structure file satisfies")
     p.add_argument("file")

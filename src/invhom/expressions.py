@@ -9,21 +9,28 @@ Grammar, with '*' left-associative:
     atom    := name | '[' name ']'
     scalar  := int ('/' posint)? '.'
 
-Juxtaposed atoms form one word, so "x [y] z" is a single word literal.
-Scalars attach with an explicit dot, as in "3/2 . x".  The name 'A' is
-reserved for the involution; a generator that wants the letter can use A_.
-Expressions built from words, 'A', and '*' alone stay inside the free
-structure; '+', '-', and scalars move evaluation to the linear span.
+A name is [A-Za-z_][A-Za-z0-9_]*, the rule of words.py, and an int is
+ASCII digits.  Juxtaposed atoms form one word, so "x [y] z" is a single
+word literal.  Scalars attach with an explicit dot, as in "3/2 . x".  The
+name 'A' is reserved for the involution; a generator that wants the letter
+can use A_.  '(' and 'A(' nest at most 200 levels deep.
+
+One walk over the tree, on an explicit stack, both evaluates and renders.
+The value stays a word while only words, 'A', and '*' are involved; '+',
+'-', and scalars move it to the linear span.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
 from .algebra import AlgebraElement, add, alpha_alg, diamond_alg, scale
-from .words import Letter, Word, alpha_word, diamond
+from .words import NAME_PATTERN, Letter, Word, alpha_word, diamond
+
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -47,36 +54,26 @@ class Token:
     col: int
 
 
-_SYMBOLS = set("+-*/.()[]")
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r]+)|(?P<newline>\n)|(?P<INT>[0-9]+)"
+    r"|(?P<NAME>%s)|(?P<symbol>[-+*/.()\[\]])" % NAME_PATTERN
+)
 
 
 def tokenize(text: str) -> List[Token]:
     toks: List[Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-        elif ch in " \t\r":
-            col, i = col + 1, i + 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(Token("INT", text[i:j], line, col))
-            col, i = col + (j - i), j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("NAME", text[i:j], line, col))
-            col, i = col + (j - i), j
-        elif ch in _SYMBOLS:
-            toks.append(Token(ch, ch, line, col))
-            col, i = col + 1, i + 1
-        else:
-            raise ParseError(line, col, "unexpected character %r" % ch)
-    toks.append(Token("END", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        col = pos - line_start + 1
+        if m is None:
+            raise ParseError(line, col, "unexpected character %r" % text[pos])
+        kind, pos = m.lastgroup, m.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind != "space":
+            toks.append(Token(m.group() if kind == "symbol" else kind, m.group(), line, col))
+    toks.append(Token("END", "", line, pos - line_start + 1))
     return toks
 
 
@@ -125,11 +122,16 @@ Node = Union[WordLit, Alpha, Diamond, Add, Sub, Neg, Scaled]
 
 _RESERVED = "'A' is reserved for the involution; name the generator A_ instead"
 
+# The parser recurses three frames per level of '(' or 'A(', so the bound
+# keeps every accepted input well inside Python's recursion limit.
+_MAX_NESTING = 200
+
 
 class _Parser:
     def __init__(self, toks: List[Token]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -182,27 +184,25 @@ class _Parser:
             den = int(den_tok.text)
             if den == 0:
                 self.fail(den_tok, "zero denominator")
-        dot = self.peek()
+        dot = self.take()
         if dot.kind != ".":
             self.fail(dot, "a scalar attaches with '.', as in 3/2 . x")
-        self.take()
         return Fraction(num, den)
 
     def factor(self) -> Node:
         tok = self.peek()
-        if tok.kind == "(":
+        involution = tok.kind == "NAME" and tok.text == "A"
+        if involution or tok.kind == "(":
             self.take()
-            node = self.expression()
-            self.expect(")", "')'")
-            return node
-        if tok.kind == "NAME" and tok.text == "A":
-            self.take()
-            if self.peek().kind != "(":
+            if involution and self.take().kind != "(":
                 self.fail(tok, _RESERVED)
-            self.take()
+            if self.depth == _MAX_NESTING:
+                self.fail(tok, "nesting deeper than %d levels" % _MAX_NESTING)
+            self.depth += 1
             node = self.expression()
             self.expect(")", "')'")
-            return Alpha(node)
+            self.depth -= 1
+            return Alpha(node) if involution else node
         if tok.kind in ("NAME", "["):
             letters = [self.atom()]
             while self.peek().kind == "[" or (
@@ -213,25 +213,21 @@ class _Parser:
         self.fail(tok, "expected a word, '(', or 'A(', found %s" % self.found(tok))
 
     def atom(self) -> Letter:
+        """A letter; factor() calls it only on '[' or a name other than 'A'."""
         tok = self.take()
-        if tok.kind == "[":
-            name = self.expect("NAME", "a generator name")
-            if name.text == "A":
-                self.fail(name, _RESERVED)
-            self.expect("]", "']'")
-            return Letter(name.text, 1)
         if tok.kind == "NAME":
-            if tok.text == "A":
-                self.fail(tok, _RESERVED)
             return Letter(tok.text, 0)
-        self.fail(tok, "expected a generator, found %s" % self.found(tok))
+        name = self.expect("NAME", "a generator name")
+        if name.text == "A":
+            self.fail(name, _RESERVED)
+        self.expect("]", "']'")
+        return Letter(name.text, 1)
 
 
 def parse_expression(text: str) -> Node:
-    toks = tokenize(text)
-    if toks[0].kind == "END":
-        raise ParseError(toks[0].line, toks[0].col, "empty expression")
-    p = _Parser(toks)
+    p = _Parser(tokenize(text))
+    if p.peek().kind == "END":
+        p.fail(p.peek(), "empty expression")
     node = p.expression()
     tail = p.peek()
     if tail.kind != "END":
@@ -239,36 +235,75 @@ def parse_expression(text: str) -> Node:
     return node
 
 
-# ---------------------------------------------------------------- evaluation
+# ---------------------------------------------------------------- the walk
 
-def word_value(node: Node) -> Word:
+def _children(node: Node) -> Tuple[Node, ...]:
+    if isinstance(node, WordLit):
+        return ()
+    if isinstance(node, (Alpha, Neg, Scaled)):
+        return (node.expr,)
+    if isinstance(node, (Diamond, Add, Sub)):
+        return (node.left, node.right)
+    raise TypeError("not an expression node: %r" % (node,))
+
+
+def _walk(node: Node, visit: Callable[..., T]) -> T:
+    """Post-order fold without recursion: ``visit(n, *child results)`` for
+    every node n, children first, kept on an explicit stack."""
+    results: List[T] = []
+    stack = [(node, False)]
+    while stack:
+        n, expanded = stack.pop()
+        children = _children(n)
+        if children and not expanded:
+            stack.append((n, True))
+            stack.extend((c, False) for c in reversed(children))
+        else:
+            k = len(results) - len(children)
+            results[k:] = [visit(n, *results[k:])]
+    return results[0]
+
+
+def _lift(v: Union[Word, AlgebraElement]) -> AlgebraElement:
+    return AlgebraElement.from_word(v) if isinstance(v, Word) else v
+
+
+def _value(node: Node, *args: Union[Word, AlgebraElement]) -> Union[Word, AlgebraElement]:
     if isinstance(node, WordLit):
         return node.word
     if isinstance(node, Alpha):
-        return alpha_word(word_value(node.expr))
+        return alpha_word(args[0]) if isinstance(args[0], Word) else alpha_alg(args[0])
     if isinstance(node, Diamond):
-        return diamond(word_value(node.left), word_value(node.right))
-    raise ModeError(
-        "sums, differences, and scalars build combinations, not a single word"
-    )
+        u, v = args
+        if isinstance(u, Word) and isinstance(v, Word):
+            return diamond(u, v)
+        return diamond_alg(_lift(u), _lift(v))
+    a = [_lift(x) for x in args]
+    if isinstance(node, Add):
+        return add(a[0], a[1])
+    if isinstance(node, Sub):
+        return add(a[0], scale(-1, a[1]))
+    return scale(-1 if isinstance(node, Neg) else node.coeff, a[0])
+
+
+def evaluate(node: Node) -> Union[Word, AlgebraElement]:
+    """The value of a tree: a word while only words, 'A', and '*' are
+    involved, an element of the linear span from the first '+', '-', or
+    scalar on, or when '*' or 'A' meets a combination."""
+    return _walk(node, _value)
+
+
+def word_value(node: Node) -> Word:
+    """evaluate(), refused before any work when the tree leaves the words."""
+    if _walk(node, lambda n, *sub: any(sub) or isinstance(n, (Add, Sub, Neg, Scaled))):
+        raise ModeError(
+            "sums, differences, and scalars build combinations, not a single word"
+        )
+    return evaluate(node)
 
 
 def algebra_value(node: Node) -> AlgebraElement:
-    if isinstance(node, WordLit):
-        return AlgebraElement.from_word(node.word)
-    if isinstance(node, Alpha):
-        return alpha_alg(algebra_value(node.expr))
-    if isinstance(node, Diamond):
-        return diamond_alg(algebra_value(node.left), algebra_value(node.right))
-    if isinstance(node, Add):
-        return add(algebra_value(node.left), algebra_value(node.right))
-    if isinstance(node, Sub):
-        return add(algebra_value(node.left), scale(-1, algebra_value(node.right)))
-    if isinstance(node, Neg):
-        return scale(-1, algebra_value(node.expr))
-    if isinstance(node, Scaled):
-        return scale(node.coeff, algebra_value(node.expr))
-    raise TypeError("not an expression node: %r" % (node,))
+    return _lift(evaluate(node))
 
 
 def eval_word(text: str) -> Word:
@@ -281,26 +316,29 @@ def eval_algebra(text: str) -> AlgebraElement:
     return algebra_value(parse_expression(text))
 
 
-# ---------------------------------------------------------------- rendering
+_FORMATS = {
+    Alpha: "A(%s)",
+    Diamond: "(%s * %s)",
+    Add: "(%s + %s)",
+    Sub: "(%s - %s)",
+    Neg: "(-%s)",
+    Scaled: "(%s . %s)",
+}
 
-def render_expr(node: Node) -> str:
-    """Fully parenthesized text; parsing it back yields the same tree."""
+
+def _text(node: Node, *parts: str) -> str:
     if isinstance(node, WordLit):
         text = str(node.word)
         return text if len(node.word.letters) == 1 else "(%s)" % text
-    if isinstance(node, Alpha):
-        return "A(%s)" % render_expr(node.expr)
-    if isinstance(node, Diamond):
-        return "(%s * %s)" % (render_expr(node.left), render_expr(node.right))
-    if isinstance(node, Add):
-        return "(%s + %s)" % (render_expr(node.left), render_expr(node.right))
-    if isinstance(node, Sub):
-        return "(%s - %s)" % (render_expr(node.left), render_expr(node.right))
-    if isinstance(node, Neg):
-        return "(-%s)" % render_expr(node.expr)
     if isinstance(node, Scaled):
-        return "(%s . %s)" % (node.coeff, render_expr(node.expr))
-    raise TypeError("not an expression node: %r" % (node,))
+        parts = (str(node.coeff),) + parts
+    return _FORMATS[type(node)] % parts
+
+
+def render_expr(node: Node) -> str:
+    """Fully parenthesized text; parsing it back yields the same tree,
+    as long as the text nests at most 200 levels deep."""
+    return _walk(node, _text)
 
 
 def generator_expression(w: Word) -> str:
@@ -309,13 +347,8 @@ def generator_expression(w: Word) -> str:
     The twisted product with a single letter on the left is concatenation,
     so peeling letters off the front gives a right-nested product.
     """
-    expr = ""
-    for l in reversed(w.letters):
-        part = "A(%s)" % l.name if l.bit else l.name
-        if not expr:
-            expr = part
-        elif "*" in expr:
-            expr = "%s * (%s)" % (part, expr)
-        else:
-            expr = "%s * %s" % (part, expr)
+    parts = ["A(%s)" % l.name if l.bit else l.name for l in w.letters]
+    expr = parts.pop()
+    for k, part in enumerate(reversed(parts)):
+        expr = "%s * %s" % (part, "(%s)" % expr if k else expr)
     return expr

@@ -18,7 +18,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# The one rule for a generator name; the expression tokenizer uses it too.
+NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class Letter:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
             raise ValueError(
-                f"bad generator name {self.name!r}: need [A-Za-z_][A-Za-z0-9_]*"
+                f"bad generator name {self.name!r}: need {NAME_PATTERN}"
             )
         if self.bit not in (0, 1):
             raise ValueError(f"exponent bit must be 0 or 1, got {self.bit!r}")
@@ -123,13 +125,14 @@ def diamond(w: Word, w2: Word) -> Word:
 
     A single-letter left factor concatenates onto the right factor.
     Otherwise the first letter is flipped and prepended to
-    ``diamond(rest-of-left, alpha_word(right))``.
+    ``diamond(rest-of-left, alpha_word(right))``; the loop takes those
+    steps in order until one letter of the left factor is left.
     """
-    if len(w.letters) == 1:
-        return Word(w.letters + w2.letters)
-    rest = Word(w.letters[1:])
-    tail = diamond(rest, alpha_word(w2))
-    return Word((w.letters[0].flipped(),) + tail.letters)
+    head = []
+    for letter in w.letters[:-1]:
+        head.append(letter.flipped())
+        w2 = alpha_word(w2)
+    return Word(tuple(head) + w.letters[-1:] + w2.letters)
 
 
 def diamond_closed(w: Word, w2: Word) -> Word:

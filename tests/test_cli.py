@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invhom.cli import main
 from invhom.finite import FiniteHomMagma, fixture, structure_to_dict
+from invhom.words import diamond_closed, parse_word
 
 HOM_NOT_SG_REPORT = (
     "hom-associative  yes\n"
@@ -92,6 +97,30 @@ def test_parse_errors_exit_2(run):
     assert "empty expression" in err
     code, _, err = run("eval", "x + y", "--target", "nowhere.json")
     assert code == 2
+    for text, col in [("x é", 3), ("2² . x", 2)]:
+        code, out, err = run("prod", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("line 1, column %d: unexpected character" % col)
+
+
+def test_deep_nesting_exits_2_at_the_opening_token(run):
+    for opener, col in [("(", 201), ("A(", 401)]:
+        code, out, err = run("prod", opener * 1200 + "x" + ")" * 1200)
+        assert (code, out) == (2, "")
+        assert err == "line 1, column %d: nesting deeper than 200 levels\n" % col
+
+
+def test_long_and_deep_expressions(run):
+    long_word = " ".join("[x]" if i % 3 else "y" for i in range(1500))
+    expected = diamond_closed(parse_word(long_word), parse_word("y"))
+    assert run("prod", long_word + " * y") == (0, "%s\n" % expected, "")
+    long_sum = " + ".join(["x"] * 3000)
+    assert run("expand", long_sum) == (0, "3000 . x\n", "")
+    code, out, err = run("prod", "--echo", long_sum)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n3000 . x\n")
+    zero_product = "(0 . x) * " + " * ".join(["x"] * 2999)
+    assert run("expand", "--", zero_product) == (0, "0\n", "")
 
 
 # ---------------------------------------------------------------- check
@@ -259,6 +288,25 @@ def test_adjoined_output_round_trips_through_check(run, tmp_path):
 def test_usage_errors(run):
     assert run("frobnicate")[0] == 2
     assert run()[0] == 2
+
+
+# Hypothesis reruns one test function many times, which the function-scoped
+# capsys fixture behind `run` does not support, so this captures by hand.
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.text(st.sampled_from(list("xyA_12/.*+-()[] \né²")), max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_any_expression_text_exits_0_or_2_deterministically(text):
+    for command in ("prod", "alpha", "expand"):
+        code, out, err = _main([command, "--", text])
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        assert _main([command, "--", text])[1] == out
 
 
 def test_outputs_are_deterministic(run, tmp_path):

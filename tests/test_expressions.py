@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from invhom import expressions
 from invhom.algebra import AlgebraElement, scale
 from invhom.expressions import (
     ModeError,
@@ -49,6 +50,15 @@ def test_word_mode_rejects_algebra_constructs():
     for text in ["x + y", "x - y", "2 . x", "-x", "1/2 . (x * y)"]:
         with pytest.raises(ModeError):
             eval_word(text)
+
+
+def test_word_mode_rejects_before_evaluating(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("evaluated a combination in word mode")
+
+    monkeypatch.setattr(expressions, "diamond_alg", unreachable)
+    with pytest.raises(ModeError):
+        eval_word("(x + y) * z")
 
 
 # ---------------------------------------------------------------- algebra
@@ -125,6 +135,17 @@ def test_unbalanced_and_trailing_input():
     expect_error("x ) y", "unexpected")
     expect_error("x y (", "unexpected")
     expect_error("x @ y", "unexpected character")
+    # names and integers are ASCII, the rule words.py checks
+    expect_error("x é", "unexpected character", 1, 3)
+    expect_error("2² . x", "unexpected character", 1, 2)
+
+
+def test_nesting_is_bounded():
+    deep = "(" * 200 + "x" + ")" * 200
+    assert parse_expression(deep) == parse_expression("x")
+    assert eval_word("A(" * 200 + "x" + ")" * 200) == w("x")
+    expect_error("(" * 201 + "x" + ")" * 201, "nesting deeper than 200 levels", 1, 201)
+    expect_error("A(" * 201 + "x" + ")" * 201, "nesting deeper than 200 levels", 1, 401)
 
 
 def test_stray_operator():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +122,13 @@ def test_closed_form_matches_frozen_cases():
 @given(words, words)
 @settings(max_examples=300)
 def test_recursive_and_closed_form_agree(u, v):
+    assert diamond(u, v) == diamond_closed(u, v)
+
+
+def test_recursion_handles_a_long_left_factor():
+    rng = random.Random(20000)
+    u = Word(tuple(Letter(rng.choice("xyz"), rng.randint(0, 1)) for _ in range(20000)))
+    v = parse_word("y [z]")
     assert diamond(u, v) == diamond_closed(u, v)
 
 
