@@ -6,12 +6,21 @@ deterministic: product tables vary row-major, alpha tables innermost.  One
 scan loop serves both the census and the filtered stream, and it checks the
 laws with the index-level kernel from finite.py, the same code behind the
 check_* functions.
+
+The census counts isomorphism classes by Burnside's lemma.  The laws do not
+change under relabeling, so each bucket is a union of classes, and its class
+count is the average over all relabelings g of the number of its candidates
+that g leaves unchanged.  The identity term is the raw scan; every other
+term scans only the few candidates that g fixes.  The stream instead tests
+each candidate's canonical form, because it must yield the least
+representative of each class.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
@@ -76,23 +85,34 @@ class Census:
 
 
 def _scan(
-    n, hom_associative, associative, multiplicative, involutive_alpha, up_to_iso
+    n,
+    hom_associative,
+    associative,
+    multiplicative,
+    involutive_alpha,
+    up_to_iso,
+    tables=None,
 ) -> Iterator[Tuple[tuple, tuple, Quad]]:
     """Yield (mul, alpha, quad) for each order-n candidate passing the filters.
 
     Filters are three-valued as in iter_matching.  Laws run cheapest first
     (involution once per alpha, associativity once per product table, then
     hom-associativity and multiplicativity), and the canonical-form test
-    last, so a rejected candidate costs as little as possible.
+    last, so a rejected candidate costs as little as possible.  The
+    candidates are every product table paired with every alpha, or, when
+    ``tables`` is a pair (product tables, alphas), those two lists paired.
     """
     want_hom, want_assoc, want_mult, want_invol = (
         (False, True) if law is None else (law,)
         for law in (hom_associative, associative, multiplicative, involutive_alpha)
     )
-    rows = list(itertools.product(range(n), repeat=n))
-    alphas = [(al, _invol_witness(al, n) is None) for al in rows]
+    if tables is None:
+        rows = list(itertools.product(range(n), repeat=n))
+        tables = itertools.product(rows, repeat=n), rows
+    muls, alphas = tables
+    alphas = [(al, _invol_witness(al, n) is None) for al in alphas]
     alphas = [(al, invol) for al, invol in alphas if invol in want_invol]
-    for mul in itertools.product(rows, repeat=n):
+    for mul in muls:
         assoc = _assoc_witness(mul, n) is None
         if assoc not in want_assoc:
             continue
@@ -108,13 +128,74 @@ def _scan(
             yield mul, al, (hom, assoc, mult, invol)
 
 
+def _orbit(start, move) -> list:
+    """The points start, move(start), move(move(start)), ... up to the repeat."""
+    orbit, p = [start], move(start)
+    while p != start:
+        orbit.append(p)
+        p = move(p)
+    return orbit
+
+
+def _fixed_tables(n, g) -> Tuple[list, list]:
+    """The product tables and the alphas that relabeling by g leaves unchanged.
+
+    relabel moves element i to g[i], so it fixes mul exactly when
+    mul[g i][g j] = g mul[i][j] for all cells, and alpha exactly when
+    alpha[g i] = g alpha[i].  Along the g-orbit of a cell (or of an element)
+    the first value v fixes all the others, and v is free among the elements
+    whose g-cycle length divides the orbit's length.
+    """
+    step = g.__getitem__
+    cycle = [len(_orbit(v, step)) for v in range(n)]
+
+    def fixed(points, move):
+        orbits = []
+        for p in points:
+            if all(p not in orbit for orbit, _ in orbits):
+                orbit = _orbit(p, move)
+                free = [v for v in range(n) if len(orbit) % cycle[v] == 0]
+                orbits.append((orbit, free))
+        for choice in itertools.product(*(free for _, free in orbits)):
+            table = {}
+            for (orbit, _), v in zip(orbits, choice):
+                for p in orbit:
+                    table[p] = v
+                    v = g[v]
+            yield tuple(table[p] for p in points)
+
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    muls = [
+        tuple(flat[i * n : i * n + n] for i in range(n))
+        for flat in fixed(cells, lambda c: (g[c[0]], g[c[1]]))
+    ]
+    return muls, list(fixed(range(n), step))
+
+
 def census(order: int, up_to_iso: bool = False) -> Census:
     """Classify every candidate of the given order against all four laws."""
     if not 1 <= order <= 3:
         raise ValueError("census is exhaustive, order must be 1, 2, or 3")
+    quads = collections.Counter(
+        map(operator.itemgetter(2), _scan(order, None, None, None, None, False))
+    )
+    if up_to_iso:
+        # Burnside: the count above is the identity's term; the first
+        # permutation is the identity, so the rest are the other terms.
+        for g in itertools.islice(itertools.permutations(range(order)), 1, None):
+            scan = _scan(order, None, None, None, None, False, _fixed_tables(order, g))
+            quads.update(map(operator.itemgetter(2), scan))
+        group = math.factorial(order)
+        for quad, fixed_sum in quads.items():
+            classes, rest = divmod(fixed_sum, group)
+            if rest:
+                raise RuntimeError(
+                    "Burnside sum %d for %s is not a multiple of %d"
+                    % (fixed_sum, quad, group)
+                )
+            quads[quad] = classes
     counts = {q: 0 for q in itertools.product((False, True), repeat=4)}
-    scan = _scan(order, None, None, None, None, up_to_iso)
-    counts.update(collections.Counter(map(operator.itemgetter(2), scan)))
+    counts.update(quads)
     return Census(order, order ** (order * order + order), counts, up_to_iso)
 
 

@@ -30,7 +30,7 @@ from .expressions import (
     word_value,
 )
 from .finite import adjoin_zero, classify, structure_from_dict, structure_to_dict
-from .universal import GeneratorAssignment, _require_lawful, _UnlawfulTarget, extend
+from .universal import GeneratorAssignment, _UnlawfulTarget, extend
 from .words import Word
 
 
@@ -51,6 +51,10 @@ def _load_structure(path: str):
         raise _CliError(
             2, "%s: line %d, column %d: %s" % (path, e.lineno, e.colno, e.msg)
         )
+    except RecursionError:
+        raise _CliError(2, "%s: JSON nested too deeply" % path)
+    except ValueError as e:  # not UTF-8, or an integer literal too long
+        raise _CliError(2, "%s: %s" % (path, e))
     try:
         return structure_from_dict(data)
     except ValueError as e:
@@ -79,22 +83,31 @@ def _cmd_check(args) -> int:
 
 def _cmd_eval(args) -> int:
     target = _load_structure(args.target)
+    # The assignment checks the target laws first.  A malformed --map entry
+    # is held back until then, so an unlawful target always exits 1.
+    labels, problem = {}, None
+    for item in args.map or []:
+        name, sep, label = item.partition("=")
+        if sep and name and label:
+            labels[name] = label
+        elif problem is None:
+            problem = "--map takes generator=label, got %r" % item
+    mapping = {}
+    for name, label in labels.items():
+        try:
+            mapping[name] = target.index(label)
+        except ValueError as e:
+            problem = problem or str(e)
     try:
-        _require_lawful(target)
+        assign = GeneratorAssignment(target, mapping)
     except _UnlawfulTarget as e:
         raise _CliError(
             1, "target is not %s, witness: %s" % (e.law, " ".join(e.witness))
         )
-    mapping = {}
-    for item in args.map or []:
-        name, sep, label = item.partition("=")
-        if not sep or not name or not label:
-            raise _CliError(2, "--map takes generator=label, got %r" % item)
-        mapping[name] = label
-    try:
-        assign = GeneratorAssignment.from_labels(target, mapping)
     except ValueError as e:
-        raise _CliError(2, str(e))
+        problem = problem or str(e)
+    if problem:
+        raise _CliError(2, problem)
     w = word_value(parse_expression(args.expr))
     try:
         idx = extend(assign, w)

@@ -57,12 +57,12 @@ class GeneratorAssignment:
     mapping: Dict[str, int]
 
     def __post_init__(self):
+        _require_lawful(self.target)
         object.__setattr__(self, "mapping", dict(self.mapping))
         for name, v in self.mapping.items():
             Letter(name)
             if not isinstance(v, int) or not 0 <= v < self.target.order:
                 raise ValueError("generator %r must map to an element index" % name)
-        _require_lawful(self.target)
 
     @classmethod
     def from_labels(cls, target: FiniteHomMagma, mapping: Dict[str, str]):

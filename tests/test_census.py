@@ -1,9 +1,23 @@
+import collections
+import importlib
 import itertools
+import operator
 
 import pytest
 
-from invhom.census import Census, canonical_form, census, iter_matching
+from invhom.census import (
+    Census,
+    _fixed_tables,
+    _scan,
+    canonical_form,
+    census,
+    iter_matching,
+)
+from invhom.cli import main
 from invhom.finite import FiniteHomMagma, classify, fixture, relabel
+
+# the package exports a function named census, which hides the module
+census_module = importlib.import_module("invhom.census")
 
 # frozen counts for order 2, keyed (hom, assoc, mult, invol)
 ORDER2_COUNTS = {
@@ -23,6 +37,46 @@ ORDER2_COUNTS = {
     (True, True, False, True): 4,
     (True, True, True, False): 4,
     (True, True, True, True): 8,
+}
+
+
+# frozen counts for order 3, raw and up to isomorphism, from a brute-force
+# census that shares no code with the package
+ORDER3_RAW = {
+    (False, False, False, False): 427338,
+    (False, False, False, True): 58488,
+    (False, False, True, False): 20185,
+    (False, False, True, True): 19762,
+    (False, True, False, False): 1788,
+    (False, True, False, True): 246,
+    (False, True, True, False): 367,
+    (False, True, True, True): 24,
+    (True, False, False, False): 1920,
+    (True, False, False, True): 6,
+    (True, False, True, False): 667,
+    (True, False, True, True): 24,
+    (True, True, False, False): 288,
+    (True, True, False, True): 66,
+    (True, True, True, False): 156,
+    (True, True, True, True): 116,
+}
+ORDER3_ISO = {
+    (False, False, False, False): 71223,
+    (False, False, False, True): 9748,
+    (False, False, True, False): 3413,
+    (False, False, True, True): 3370,
+    (False, True, False, False): 298,
+    (False, True, False, True): 41,
+    (False, True, True, False): 65,
+    (False, True, True, True): 8,
+    (True, False, False, False): 320,
+    (True, False, False, True): 1,
+    (True, False, True, False): 115,
+    (True, False, True, True): 8,
+    (True, True, False, False): 48,
+    (True, True, False, True): 11,
+    (True, True, True, False): 28,
+    (True, True, True, True): 25,
 }
 
 
@@ -164,3 +218,55 @@ def test_census_buckets_match_classify(up_to_iso):
         if canonical or not up_to_iso:
             expected[quad] += 1
     assert census(2, up_to_iso=up_to_iso).counts == expected
+
+
+@pytest.mark.parametrize(
+    "up_to_iso, expected", [(False, ORDER3_RAW), (True, ORDER3_ISO)]
+)
+def test_order_three_census_matches_frozen_counts(up_to_iso, expected):
+    c = census(3, up_to_iso=up_to_iso)
+    assert c.total_candidates == 531441
+    assert c.counts == expected
+
+
+def test_enum_order_three_up_to_iso(capsys):
+    assert main(["enum", "--order", "3", "--up-to-iso"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "order 3 census: 531441 candidates, 88722 isomorphism classes"
+    rows = [line.split() for line in lines[2:]]
+    assert len(rows) == 16
+    assert {tuple(c == "yes" for c in r[:4]): int(r[4]) for r in rows} == ORDER3_ISO
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_burnside_counts_equal_the_brute_force_classes(order):
+    brute = collections.Counter(
+        map(operator.itemgetter(2), _scan(order, None, None, None, None, True))
+    )
+    counts = census(order, up_to_iso=True).counts
+    assert {q: k for q, k in counts.items() if k} == dict(brute)
+
+
+def test_fixed_tables_are_exactly_the_relabel_invariant_ones():
+    n = 3
+    rows = list(itertools.product(range(n), repeat=n))
+    muls = [
+        FiniteHomMagma("abc", mul, (0, 0, 0))
+        for mul in itertools.product(rows, repeat=n)
+    ]
+    alphas = [FiniteHomMagma("abc", ((0,) * n,) * n, al) for al in rows]
+    for g in itertools.permutations(range(n)):
+        fixed_muls, fixed_alphas = _fixed_tables(n, g)
+        assert sorted(fixed_muls) == [m.mul for m in muls if relabel(m, g).mul == m.mul]
+        assert sorted(fixed_alphas) == [
+            m.alpha for m in alphas if relabel(m, g).alpha == m.alpha
+        ]
+
+
+def test_burnside_remainder_fails_loudly(monkeypatch):
+    # one extra candidate in the swap's term leaves an odd sum in its bucket
+    monkeypatch.setattr(
+        census_module, "_fixed_tables", lambda n, g: ([((0, 0), (0, 0))], [(0, 0)])
+    )
+    with pytest.raises(RuntimeError, match="not a multiple of 2"):
+        census(2, up_to_iso=True)

@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invhom import universal
 from invhom.cli import main
 from invhom.finite import FiniteHomMagma, fixture, structure_to_dict
 from invhom.words import diamond_closed, parse_word
@@ -157,6 +160,29 @@ def test_check_file_errors_exit_2(run, tmp_path):
     assert "row 0, column 1" in err
 
 
+HOSTILE_FILES = {
+    "not_utf8.json": (b"\xff", "can't decode byte 0xff"),
+    "deep.json": (b"[" * 100_000, "JSON nested too deeply"),
+    "long_int.json": (b'{"labels": [' + b"7" * 5000 + b"]}", "integer string"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FILES))
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["eval", "x", "--map", "x=a", "--target"], ["adjoin-zero"]],
+    ids=["check", "eval", "adjoin-zero"],
+)
+def test_hostile_structure_files_exit_2(run, tmp_path, argv, name):
+    content, reason = HOSTILE_FILES[name]
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = run(*argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("%s: " % path)
+    assert reason in err
+
+
 # ---------------------------------------------------------------- eval
 
 def test_eval_in_the_involutive_fixture(run, tmp_path):
@@ -176,9 +202,25 @@ def test_eval_requires_a_lawful_target(run, tmp_path):
     assert code == 1
     assert err == "target is not involutive, witness: x\n"
     # the law failure wins over a malformed --map
-    code, _, err = run("eval", "x", "--target", path, "--map", "x")
-    assert code == 1
-    assert err == "target is not involutive, witness: x\n"
+    for bad_map in ["x", "x=w", "2=x"]:
+        code, _, err = run("eval", "x", "--target", path, "--map", bad_map)
+        assert code == 1
+        assert err == "target is not involutive, witness: x\n"
+
+
+def test_eval_checks_the_target_laws_once(run, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(law, check):
+        return lambda m: calls.append(law) or check(m)
+
+    laws = tuple(
+        (law, counted(law, check), msg) for law, check, msg in universal._TARGET_LAWS
+    )
+    monkeypatch.setattr(universal, "_TARGET_LAWS", laws)
+    path = write_structure(tmp_path, fixture("involutive"))
+    assert run("eval", "x * x", "--target", path, "--map", "x=x") == (0, "y\n", "")
+    assert calls == ["hom-associative", "multiplicative", "involutive"]
 
 
 def test_eval_usage_errors(run, tmp_path):
@@ -307,6 +349,73 @@ def test_any_expression_text_exits_0_or_2_deterministically(text):
         assert code in (0, 2)
         assert "Traceback" not in err
         assert _main([command, "--", text])[1] == out
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(["a", "b", ""]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["labels", "mul", "alpha"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _valid_structures(draw):
+    n = draw(st.integers(1, 3))
+    labels = ["a", "b", "c"][:n]
+    label = st.sampled_from(labels)
+    row = st.lists(label, min_size=n, max_size=n)
+    return {
+        "labels": labels,
+        "mul": draw(st.lists(row, min_size=n, max_size=n)),
+        "alpha": draw(row),
+    }
+
+
+_STRUCTURES = (
+    _valid_structures()
+    | _JSON
+    | st.tuples(
+        _valid_structures(), st.sampled_from(["labels", "mul", "alpha"]), _JSON
+    ).map(lambda t: {**t[0], t[1]: t[2]})
+)
+
+
+@given(
+    _STRUCTURES,
+    st.sampled_from(["x", "x * [y]", "A(y * x)", "x + y"]),
+    st.lists(st.sampled_from(["x=a", "y=b", "x=c", "x", "=a", "2=a"]), max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_any_structure_file_exits_0_1_or_2(data, expr, maps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "structure.json")
+        Path(path).write_text(json.dumps(data), encoding="utf-8")
+        eval_argv = ["eval", "--target", path, "--", expr]
+        eval_argv[1:1] = [arg for item in maps for arg in ("--map", item)]
+        for argv in (["check", path], eval_argv):
+            code, out, err = _main(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+
+
+@given(
+    st.tuples(st.sampled_from([0, 1, 2, 5]), st.none() | st.integers(-1, 3))
+    | st.tuples(st.just(4), st.sampled_from([None, -1, 0])),
+    st.lists(st.sampled_from(["hom", "sg", "mult", "inv"]), max_size=3),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_any_enum_arguments_exit_0_or_2_deterministically(order_limit, filters, iso):
+    order, limit = order_limit
+    argv = ["enum", "--order", str(order)]
+    argv += [arg for f in filters for arg in ("--filter", f)]
+    argv += [] if limit is None else ["--limit", str(limit)]
+    argv += ["--up-to-iso"] if iso else []
+    code, out, err = _main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert _main(argv)[1] == out
 
 
 def test_outputs_are_deterministic(run, tmp_path):
