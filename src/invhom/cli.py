@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _run(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -247,6 +248,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, ModeError) as e:
         print(str(e), file=sys.stderr)
         return 2
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, during the command or before its output
+        # was flushed.  Point stdout at devnull so that the interpreter's
+        # final flush finds an open file and stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

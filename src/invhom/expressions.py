@@ -13,7 +13,7 @@ A name is [A-Za-z_][A-Za-z0-9_]*, the rule of words.py, and an int is
 ASCII digits.  Juxtaposed atoms form one word, so "x [y] z" is a single
 word literal.  Scalars attach with an explicit dot, as in "3/2 . x".  The
 name 'A' is reserved for the involution; a generator that wants the letter
-can use A_.  '(' and 'A(' nest at most 200 levels deep.
+can use A_.  '(' and 'A(' nest to any depth.
 
 One walk over the tree, on an explicit stack, both evaluates and renders.
 The value stays a word while only words, 'A', and '*' are involved; '+',
@@ -122,16 +122,11 @@ Node = Union[WordLit, Alpha, Diamond, Add, Sub, Neg, Scaled]
 
 _RESERVED = "'A' is reserved for the involution; name the generator A_ instead"
 
-# The parser recurses three frames per level of '(' or 'A(', so the bound
-# keeps every accepted input well inside Python's recursion limit.
-_MAX_NESTING = 200
-
 
 class _Parser:
     def __init__(self, toks: List[Token]):
         self.toks = toks
         self.pos = 0
-        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -154,24 +149,53 @@ class _Parser:
         return tok
 
     def expression(self) -> Node:
-        if self.peek().kind == "-":
-            self.take()
-            node: Node = Neg(self.term())
-        else:
-            node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self) -> Node:
-        scal = self.try_scalar()
-        node = self.factor()
-        while self.peek().kind == "*":
-            self.take()
-            node = Diamond(node, self.factor())
-        return node if scal is None else Scaled(scal, node)
+        """An expr, on an explicit stack: '(' and 'A(' push the half-built sum
+        and term around them, and the matching ')' pops them for the group."""
+        stack: List[tuple] = []
+        fresh = True
+        while True:
+            if fresh:  # a leading '-' is the pending operator of an empty sum
+                op = self.take().kind if self.peek().kind == "-" else None
+                total = prod = None
+                scal = self.try_scalar()
+            tok = self.peek()
+            involution = tok.kind == "NAME" and tok.text == "A"
+            if involution or tok.kind == "(":
+                self.take()
+                if involution and self.take().kind != "(":
+                    self.fail(tok, _RESERVED)
+                stack.append((involution, total, op, scal, prod))
+                fresh = True
+                continue
+            if tok.kind not in ("NAME", "["):
+                self.fail(tok, "expected a word, '(', or 'A(', found %s" % self.found(tok))
+            letters = [self.atom()]
+            while self.peek().kind == "[" or (
+                self.peek().kind == "NAME" and self.peek().text != "A"
+            ):
+                letters.append(self.atom())
+            node: Node = WordLit(Word(tuple(letters)))
+            fresh = False
+            while True:  # node is a finished factor; close what it finishes
+                prod = node if prod is None else Diamond(prod, node)
+                if self.peek().kind == "*":
+                    self.take()
+                    break
+                term = prod if scal is None else Scaled(scal, prod)
+                if total is None:
+                    total = Neg(term) if op else term
+                else:
+                    total = Add(total, term) if op == "+" else Sub(total, term)
+                if self.peek().kind in ("+", "-"):
+                    op = self.take().kind
+                    scal, prod = self.try_scalar(), None
+                    break
+                if not stack:
+                    return total
+                self.expect(")", "')'")
+                group = total
+                involution, total, op, scal, prod = stack.pop()
+                node = Alpha(group) if involution else group
 
     def try_scalar(self) -> Optional[Fraction]:
         if self.peek().kind != "INT":
@@ -189,31 +213,8 @@ class _Parser:
             self.fail(dot, "a scalar attaches with '.', as in 3/2 . x")
         return Fraction(num, den)
 
-    def factor(self) -> Node:
-        tok = self.peek()
-        involution = tok.kind == "NAME" and tok.text == "A"
-        if involution or tok.kind == "(":
-            self.take()
-            if involution and self.take().kind != "(":
-                self.fail(tok, _RESERVED)
-            if self.depth == _MAX_NESTING:
-                self.fail(tok, "nesting deeper than %d levels" % _MAX_NESTING)
-            self.depth += 1
-            node = self.expression()
-            self.expect(")", "')'")
-            self.depth -= 1
-            return Alpha(node) if involution else node
-        if tok.kind in ("NAME", "["):
-            letters = [self.atom()]
-            while self.peek().kind == "[" or (
-                self.peek().kind == "NAME" and self.peek().text != "A"
-            ):
-                letters.append(self.atom())
-            return WordLit(Word(tuple(letters)))
-        self.fail(tok, "expected a word, '(', or 'A(', found %s" % self.found(tok))
-
     def atom(self) -> Letter:
-        """A letter; factor() calls it only on '[' or a name other than 'A'."""
+        """A letter; expression() calls it only on '[' or a name other than 'A'."""
         tok = self.take()
         if tok.kind == "NAME":
             return Letter(tok.text, 0)
@@ -336,8 +337,7 @@ def _text(node: Node, *parts: str) -> str:
 
 
 def render_expr(node: Node) -> str:
-    """Fully parenthesized text; parsing it back yields the same tree,
-    as long as the text nests at most 200 levels deep."""
+    """Fully parenthesized text; parsing it back yields the same tree."""
     return _walk(node, _text)
 
 

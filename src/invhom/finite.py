@@ -37,6 +37,10 @@ class FiniteHomMagma:
         for i, lab in enumerate(labels):
             if not isinstance(lab, str) or not lab:
                 raise ValueError("labels entry %d must be a nonempty string" % i)
+            try:
+                lab.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError("labels entry %d is not encodable as UTF-8" % i) from None
             if lab in labels[:i]:
                 raise ValueError("labels entry %d repeats %r" % (i, lab))
         if len(mul) != n:

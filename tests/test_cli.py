@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -106,11 +109,12 @@ def test_parse_errors_exit_2(run):
         assert err.startswith("line 1, column %d: unexpected character" % col)
 
 
-def test_deep_nesting_exits_2_at_the_opening_token(run):
-    for opener, col in [("(", 201), ("A(", 401)]:
-        code, out, err = run("prod", opener * 1200 + "x" + ")" * 1200)
-        assert (code, out) == (2, "")
-        assert err == "line 1, column %d: nesting deeper than 200 levels\n" % col
+def test_deep_nesting_parses(run):
+    for opener in ["(", "A("]:
+        assert run("prod", opener * 1200 + "x" + ")" * 1200) == (0, "x\n", "")
+    # the involution is applied an even number of times
+    assert run("prod", "A(" * 100_000 + "x" + ")" * 100_000) == (0, "x\n", "")
+    assert run("prod", "(" * 100_000 + "x * y" + ")" * 100_000) == (0, "x y\n", "")
 
 
 def test_long_and_deep_expressions(run):
@@ -124,6 +128,18 @@ def test_long_and_deep_expressions(run):
     assert out.endswith("\n3000 . x\n")
     zero_product = "(0 . x) * " + " * ".join(["x"] * 2999)
     assert run("expand", "--", zero_product) == (0, "0\n", "")
+
+
+def test_printed_expressions_parse_back(run):
+    long_sum = " + ".join("x" if i % 2 else "2 . [y]" for i in range(3000))
+    code, out, _ = run("prod", "--echo", long_sum)
+    assert code == 0
+    echoed, value = out.splitlines()
+    assert run("prod", echoed) == (0, "%s\n" % value, "")
+    long_word = " ".join("[x]" if i % 3 else "y" for i in range(3000))
+    code, out, _ = run("prod", "--generate", long_word)
+    assert code == 0
+    assert run("prod", out.rstrip("\n")) == (0, "%s\n" % long_word, "")
 
 
 # ---------------------------------------------------------------- check
@@ -332,6 +348,37 @@ def test_usage_errors(run):
     assert run()[0] == 2
 
 
+def test_closed_stdout_is_a_quiet_exit():
+    src = Path(__file__).resolve().parent.parent / "src"
+    cli = [sys.executable, "-m", "invhom.cli"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        cli + ["enum", "--order", "4", "--filter", "inv", "--limit", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b'{"labels":')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    # a reader gone before the first write, with stdout buffered or not
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        for argv in (["prod", "x * y"], ["--help"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run(
+                    cli + argv, stdout=write_end, stderr=subprocess.PIPE,
+                    env={**env, **unbuffered}, timeout=60,
+                )
+            finally:
+                os.close(write_end)
+            assert (done.returncode, done.stderr) == (0, b"")
+
+
 # Hypothesis reruns one test function many times, which the function-scoped
 # capsys fixture behind `run` does not support, so this captures by hand.
 def _main(argv):
@@ -352,7 +399,7 @@ def test_any_expression_text_exits_0_or_2_deterministically(text):
 
 
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(["a", "b", ""]),
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(["a", "b", "", "\ud800"]),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(["labels", "mul", "alpha"]), inner, max_size=3),
     max_leaves=12,
@@ -362,7 +409,7 @@ _JSON = st.recursive(
 @st.composite
 def _valid_structures(draw):
     n = draw(st.integers(1, 3))
-    labels = ["a", "b", "c"][:n]
+    labels = [draw(st.sampled_from(["a", "\ud800"])), "b", "c"][:n]
     label = st.sampled_from(labels)
     row = st.lists(label, min_size=n, max_size=n)
     return {
@@ -397,6 +444,7 @@ def test_any_structure_file_exits_0_1_or_2(data, expr, maps):
             code, out, err = _main(argv)
             assert code in (0, 1, 2)
             assert "Traceback" not in err
+            out.encode("utf-8")  # what a real stdout must be able to write
 
 
 @given(

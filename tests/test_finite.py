@@ -173,6 +173,8 @@ def test_relabel_is_an_isomorphism():
     assert out.labels == ("y", "z", "x")
     assert quad(out) == quad(m)
     assert relabel(out, (1, 2, 0)) == m
+    with pytest.raises(ValueError, match="permutation"):
+        relabel(m, (0, 0, 1))
 
 
 @given(
@@ -225,3 +227,5 @@ def test_dict_errors_carry_positions():
         structure_from_dict({**good, "alpha": "yxz"})
     with pytest.raises(ValueError, match="labels entry 3"):
         structure_from_dict({**good, "labels": ["x", "y", "z", "z"]})
+    with pytest.raises(ValueError, match="labels entry 0"):
+        structure_from_dict({"labels": ["\ud800"], "mul": [["\ud800"]], "alpha": ["\ud800"]})

@@ -103,6 +103,8 @@ def test_extension_is_a_morphism(u, v):
 def test_verify_morphism_passes_on_a_true_assignment():
     f = swap_assignment(x="x", y="z")
     assert verify_morphism(f, max_len=5, samples=300, seed=7) is None
+    with pytest.raises(ValueError, match="no generators"):
+        verify_morphism(swap_assignment())
 
 
 def test_verify_morphism_catches_a_corrupted_base_case(monkeypatch):

@@ -51,6 +51,8 @@ def test_empty_word_rejected():
         parse_word("")
     with pytest.raises(ValueError):
         parse_word("   ")
+    with pytest.raises(TypeError):
+        Word(("x",))
 
 
 def test_parse_and_render():
