@@ -1,9 +1,10 @@
 """Rational linear combinations of words.
 
 The span of all words is an algebra: the twisted product extends bilinearly
-and the involution extends linearly.  Coefficients are kept as exact
-rationals, and elements normalize on construction, so equality is equality
-of coefficient dictionaries.
+and the involution extends linearly.  Coefficients are exact: ints stay
+ints, and a Fraction appears only once a denominator does.  Elements
+normalize on construction, so equality is equality of coefficient
+dictionaries.
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ from .words import Word, alpha_word, diamond
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
 
-
-def _coerce(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
+def _coerce(c: Scalar) -> Scalar:
+    if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
     raise TypeError("coefficients must be ints or Fractions, got %r" % (c,))
 
 
@@ -34,19 +31,19 @@ def _term_key(w: Word):
 class AlgebraElement:
     """A finite rational combination of words.
 
-    ``terms`` maps each word to its nonzero coefficient.  The zero element
-    has no terms at all.
+    ``terms`` maps each word to its nonzero coefficient, an int or a
+    Fraction.  The zero element has no terms at all.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Union[Mapping[Word, Scalar], Iterable[Tuple[Word, Scalar]]] = ()):
-        acc: Dict[Word, Fraction] = {}
+        acc: Dict[Word, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for w, c in items:
             if not isinstance(w, Word):
                 raise TypeError("terms must be keyed by words, got %r" % (w,))
-            tot = acc.get(w, _ZERO) + _coerce(c)
+            tot = acc.get(w, 0) + _coerce(c)
             if tot:
                 acc[w] = tot
             else:
@@ -89,10 +86,7 @@ class AlgebraElement:
             return scale(other, self)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return scale(other, self)
-        return NotImplemented
+    __rmul__ = __mul__  # only a scalar reaches it, and scalars commute
 
     def __str__(self):
         bits = []

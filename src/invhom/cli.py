@@ -6,8 +6,8 @@ and evaluate words in a finite target through the universal extension.
 
 Exit codes: 0 on success (for `check`, when the structure is
 hom-associative); 1 when a law fails and a counterexample is reported;
-2 for usage, parse, and file errors.  Identical inputs produce byte
-identical output.
+2 for usage, parse, and file errors, including numbers too long to read
+or print.  Identical inputs produce byte identical output.
 """
 
 from __future__ import annotations
@@ -72,7 +72,12 @@ def _cmd_value(args) -> int:
         if not isinstance(value, Word):
             raise _CliError(2, "--generate needs a plain word, not a combination")
         value = generator_expression(value)
-    print(value)
+    try:
+        text = str(value)
+    except ValueError:  # a coefficient over sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        raise _CliError(2, "a coefficient has more than %d digits" % limit) from None
+    print(text)
     return 0
 
 

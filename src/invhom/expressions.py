@@ -10,10 +10,12 @@ Grammar, with '*' left-associative:
     scalar  := int ('/' posint)? '.'
 
 A name is [A-Za-z_][A-Za-z0-9_]*, the rule of words.py, and an int is
-ASCII digits.  Juxtaposed atoms form one word, so "x [y] z" is a single
-word literal.  Scalars attach with an explicit dot, as in "3/2 . x".  The
-name 'A' is reserved for the involution; a generator that wants the letter
-can use A_.  '(' and 'A(' nest to any depth.
+ASCII digits, at most sys.get_int_max_str_digits() of them (4,300 by
+default); a longer one is a ParseError at its token.  Juxtaposed atoms
+form one word, so "x [y] z" is a single word literal.  Scalars attach with
+an explicit dot, as in "3/2 . x", and stay ints unless they have a
+denominator.  The name 'A' is reserved for the involution; a generator that
+wants the letter can use A_.  '(' and 'A(' nest to any depth.
 
 One walk over the tree, on an explicit stack, both evaluates and renders.
 The value stays a word while only words, 'A', and '*' are involved; '+',
@@ -23,11 +25,12 @@ The value stays a word while only words, 'A', and '*' are involved; '+',
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
-from .algebra import AlgebraElement, add, alpha_alg, diamond_alg, scale
+from .algebra import AlgebraElement, Scalar, add, alpha_alg, diamond_alg, scale
 from .words import NAME_PATTERN, Letter, Word, alpha_word, diamond
 
 T = TypeVar("T")
@@ -114,7 +117,7 @@ class Neg:
 
 @dataclass(frozen=True)
 class Scaled:
-    coeff: Fraction
+    coeff: Scalar  # an int, or a Fraction when the scalar has a denominator
     expr: "Node"
 
 
@@ -197,21 +200,27 @@ class _Parser:
                 involution, total, op, scal, prod = stack.pop()
                 node = Alpha(group) if involution else group
 
-    def try_scalar(self) -> Optional[Fraction]:
+    def integer(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # over sys.get_int_max_str_digits() digits
+            self.fail(tok, "integer longer than %d digits" % sys.get_int_max_str_digits())
+
+    def try_scalar(self) -> Optional[Scalar]:
         if self.peek().kind != "INT":
             return None
-        num = int(self.take().text)
-        den = 1
+        scalar = self.integer(self.take())
         if self.peek().kind == "/":
             self.take()
             den_tok = self.expect("INT", "a denominator")
-            den = int(den_tok.text)
+            den = self.integer(den_tok)
             if den == 0:
                 self.fail(den_tok, "zero denominator")
+            scalar = Fraction(scalar, den)
         dot = self.take()
         if dot.kind != ".":
             self.fail(dot, "a scalar attaches with '.', as in 3/2 . x")
-        return Fraction(num, den)
+        return scalar
 
     def atom(self) -> Letter:
         """A letter; expression() calls it only on '[' or a name other than 'A'."""

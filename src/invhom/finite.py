@@ -137,10 +137,10 @@ def check_involutive_alpha(m: FiniteHomMagma) -> Optional[str]:
 
 
 _LAW_ROWS = (
-    ("hom-associative", "hom_associative", "hom_witness"),
-    ("associative", "associative", "assoc_witness"),
-    ("multiplicative", "multiplicative", "mult_witness"),
-    ("involutive alpha", "involutive_alpha", "invol_witness"),
+    ("hom-associative", "hom_associative", "hom_witness", check_hom_associative),
+    ("associative", "associative", "assoc_witness", check_associative),
+    ("multiplicative", "multiplicative", "mult_witness", check_multiplicative),
+    ("involutive alpha", "involutive_alpha", "invol_witness", check_involutive_alpha),
 )
 
 
@@ -158,7 +158,7 @@ class LawReport:
     invol_witness: Optional[str] = None
 
     def __post_init__(self):
-        for _, flag_field, wit_field in _LAW_ROWS:
+        for _, flag_field, wit_field, _ in _LAW_ROWS:
             flag = getattr(self, flag_field)
             wit = getattr(self, wit_field)
             if flag == (wit is not None):
@@ -168,7 +168,7 @@ class LawReport:
 
     def as_text(self) -> str:
         lines = []
-        for name, flag_field, wit_field in _LAW_ROWS:
+        for name, flag_field, wit_field, _ in _LAW_ROWS:
             flag = getattr(self, flag_field)
             line = name.ljust(17) + ("yes" if flag else "no")
             if not flag:
@@ -180,20 +180,11 @@ class LawReport:
 
 
 def classify(m: FiniteHomMagma) -> LawReport:
-    hom = check_hom_associative(m)
-    assoc = check_associative(m)
-    mult = check_multiplicative(m)
-    invol = check_involutive_alpha(m)
-    return LawReport(
-        hom_associative=hom is None,
-        associative=assoc is None,
-        multiplicative=mult is None,
-        involutive_alpha=invol is None,
-        hom_witness=hom,
-        assoc_witness=assoc,
-        mult_witness=mult,
-        invol_witness=invol,
-    )
+    fields = {}
+    for _, flag_field, wit_field, check in _LAW_ROWS:
+        wit = check(m)
+        fields[flag_field], fields[wit_field] = wit is None, wit
+    return LawReport(**fields)
 
 
 def has_zero(m: FiniteHomMagma) -> Optional[int]:

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,11 @@ from invhom.algebra import (
     equals,
     scale,
 )
-from invhom.words import Letter, Word, parse_word
+from invhom.census import iter_matching
+from invhom.expressions import eval_algebra
+from invhom.finite import fixture
+from invhom.universal import GeneratorAssignment, extend
+from invhom.words import Letter, Word, iter_words, parse_word
 
 letters = st.builds(Letter, st.sampled_from(["x", "y", "z"]), st.integers(0, 1))
 words = st.builds(Word, st.lists(letters, min_size=1, max_size=4).map(tuple))
@@ -40,6 +46,18 @@ def test_coefficients_must_be_exact():
         AlgebraElement({parse_word("x"): 0.5})
     with pytest.raises(TypeError):
         AlgebraElement({"x": 1})
+    with pytest.raises(TypeError):
+        scale(0.5, AlgebraElement.zero())
+
+
+def test_coefficients_keep_their_exact_type():
+    a = eval_algebra("2 . x + y")
+    assert {type(c) for c in a.terms.values()} == {int}
+    assert {type(c) for c in diamond_alg(a, a - 3 * wd("[x]")).terms.values()} == {int}
+    assert [type(c) for c in eval_algebra("1/2 . x").terms.values()] == [Fraction]
+    w = parse_word("x")
+    assert AlgebraElement({w: True}) == AlgebraElement.from_word(w)
+    assert type(AlgebraElement({w: True}).terms[w]) is int
 
 
 def test_difference_of_equal_words_is_zero():
@@ -114,3 +132,59 @@ def test_hom_associativity_on_the_span(a, b, c):
     lhs = diamond_alg(alpha_alg(a), diamond_alg(b, c))
     rhs = diamond_alg(diamond_alg(a, b), alpha_alg(c))
     assert equals(lhs, rhs)
+
+
+# ---------------------------------------------------------------- against Q[T]
+# A generator assignment into a lawful finite target T extends linearly to
+# F from the span into the semigroup algebra Q[T], and F must be a morphism
+# of Hom-associative algebras.  Q[T] is written out here, so this oracle
+# shares no code with diamond_alg.
+
+
+def _image(assign, a):
+    """F(a), as a dict from target index to nonzero coefficient."""
+    out = {}
+    for w, c in a.terms.items():
+        t = extend(assign, w)
+        out[t] = out.get(t, 0) + c
+    return {t: c for t, c in out.items() if c}
+
+
+def _times(target, f, g):
+    out = {}
+    for (s, c), (t, d) in itertools.product(f.items(), g.items()):
+        st = target.mul[s][t]
+        out[st] = out.get(st, 0) + c * d
+    return {t: c for t, c in out.items() if c}
+
+
+def _random_element(rng, terms):
+    pairs = []
+    for _ in range(terms):
+        k = rng.randint(1, 4)
+        w = Word(tuple(Letter(rng.choice("xyz"), rng.randint(0, 1)) for _ in range(k)))
+        c = rng.randint(-3, 3)
+        pairs.append((w, c if rng.random() < 0.5 else Fraction(c, rng.randint(1, 4))))
+    return AlgebraElement(pairs)
+
+
+def test_the_span_maps_into_the_semigroup_algebra_of_a_lawful_target():
+    lawful = iter_matching(3, hom_associative=True, multiplicative=True, involutive_alpha=True)
+    targets = [fixture("involutive")] + list(itertools.islice(lawful, 0, None, 20))
+    for k, target in enumerate(targets):
+        rng = random.Random(k)
+        assign = GeneratorAssignment(target, {g: rng.randrange(3) for g in "xyz"})
+        # two words with one image span a nonzero element that F sends to 0
+        seen = {}
+        for w in iter_words("xyz", 2):
+            u = seen.setdefault(extend(assign, w), w)
+            if u != w:
+                break
+        kernel = AlgebraElement({u: Fraction(3, 2), w: Fraction(-3, 2)})
+        assert kernel and not _image(assign, kernel)
+        for _ in range(6):
+            a, b = _random_element(rng, 4), _random_element(rng, 3)
+            for x, y in itertools.product([a, b, a - a, kernel, a + kernel], repeat=2):
+                fx, fy = _image(assign, x), _image(assign, y)
+                assert _image(assign, x * y) == _times(target, fx, fy)
+                assert _image(assign, alpha_alg(x)) == {target.alpha[t]: c for t, c in fx.items()}

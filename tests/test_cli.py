@@ -142,6 +142,26 @@ def test_printed_expressions_parse_back(run):
     assert run("prod", out.rstrip("\n")) == (0, "%s\n" % long_word, "")
 
 
+def test_numbers_past_the_int_digit_limit_exit_2(run):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter has no int digit limit")
+    too_long = "integer longer than %d digits\n" % limit
+    numerator = "1" * (limit + 1) + " . x"
+    assert run("prod", numerator) == (2, "", "line 1, column 1: " + too_long)
+    denominator = "x - 1/" + "7" * (limit + 1) + " . y"
+    assert run("expand", "--", denominator) == (2, "", "line 1, column 7: " + too_long)
+    # (10^k - 1)^2 has 2k digits, one or two past the limit
+    nines = "9" * (limit // 2 + 1)
+    product = "(%s . x) * (%s . y)" % (nines, nines)
+    assert run("expand", product) == (
+        2, "", "a coefficient has more than %d digits\n" % limit
+    )
+    at_limit = "9" * limit
+    assert run("expand", at_limit + " . x") == (0, at_limit + " . x\n", "")
+    assert run("expand", "1/%s . x" % at_limit) == (0, "1/%s . x\n" % at_limit, "")
+
+
 # ---------------------------------------------------------------- check
 
 def test_check_fixture_reports(run, tmp_path):
