@@ -2,30 +2,47 @@
 
 The span of all words is an algebra: the twisted product extends bilinearly
 and the involution extends linearly.  Coefficients are exact: ints stay
-ints, and a Fraction appears only once a denominator does.  Elements
-normalize on construction, so equality is equality of coefficient
-dictionaries.
+ints, a Fraction appears only once a denominator does, and one that becomes
+integral is stored as its int again.  Elements normalize on construction,
+so equality is equality of coefficient dictionaries.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-from .words import Word, alpha_word, diamond
+from .words import Word, _marks, _packed, alpha_word
+from .words import diamond  # noqa: F401  not called here; perfbench/smoke.py patches the name
 
 Scalar = Union[int, Fraction]
 
 
 def _coerce(c: Scalar) -> Scalar:
     if isinstance(c, (int, Fraction)):
-        return c
+        return c if c.__class__ in (int, Fraction) else +c  # a bool becomes an int
     raise TypeError("coefficients must be ints or Fractions, got %r" % (c,))
 
 
 def _term_key(w: Word):
-    return (len(w.letters), tuple((l.name, l.bit) for l in w.letters))
+    # by length, then letter by letter: name first, then its mark
+    return (len(w.names), tuple(zip(w.names, _marks(w))))
+
+
+def _accumulate(acc: Dict[Word, Scalar], items: Iterable[Tuple[Word, Scalar]]) -> None:
+    """Add each (word, coefficient) into acc, dropping zeros and storing an
+    integral Fraction as its int.  The one normalization of coefficients."""
+    for w, c in items:
+        if not isinstance(w, Word):
+            raise TypeError("terms must be keyed by words, got %r" % (w,))
+        old = acc.get(w)
+        tot = _coerce(c) if old is None else old + _coerce(c)
+        if not tot:
+            acc.pop(w, None)
+        elif isinstance(tot, Fraction) and tot.denominator == 1:
+            acc[w] = tot.numerator
+        else:
+            acc[w] = tot
 
 
 class AlgebraElement:
@@ -38,17 +55,8 @@ class AlgebraElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Union[Mapping[Word, Scalar], Iterable[Tuple[Word, Scalar]]] = ()):
-        acc: Dict[Word, Scalar] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for w, c in items:
-            if not isinstance(w, Word):
-                raise TypeError("terms must be keyed by words, got %r" % (w,))
-            tot = acc.get(w, 0) + _coerce(c)
-            if tot:
-                acc[w] = tot
-            else:
-                acc.pop(w, None)
-        self.terms = acc
+        self.terms: Dict[Word, Scalar] = {}
+        _accumulate(self.terms, terms.items() if isinstance(terms, Mapping) else terms)
 
     @classmethod
     def zero(cls) -> "AlgebraElement":
@@ -105,7 +113,10 @@ class AlgebraElement:
 
 
 def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(itertools.chain(a.terms.items(), b.terms.items()))
+    total = AlgebraElement()
+    total.terms.update(a.terms)  # already normalized
+    _accumulate(total.terms, b.terms.items())
+    return total
 
 
 def scale(c: Scalar, a: AlgebraElement) -> AlgebraElement:
@@ -114,11 +125,14 @@ def scale(c: Scalar, a: AlgebraElement) -> AlgebraElement:
 
 
 def diamond_alg(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the twisted product of words."""
+    """Bilinear extension of the twisted product of words: diamond_closed
+    written out, with each right term's fields and complement taken once."""
+    right = [(v.names, len(v.names), v.bits, cv) for v, cv in b.terms.items()]
+    flipped = [(names, m, bits ^ ((1 << m) - 1), cv) for names, m, bits, cv in right]
     return AlgebraElement(
-        (diamond(u, v), cu * cv)
+        (_packed(u.names + names, (u.bits ^ ((1 << len(u.names)) - 2)) << m | tail), cu * cv)
         for u, cu in a.terms.items()
-        for v, cv in b.terms.items()
+        for names, m, tail, cv in (right if len(u.names) % 2 else flipped)
     )
 
 

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
-from .algebra import AlgebraElement, Scalar, add, alpha_alg, diamond_alg, scale
-from .words import NAME_PATTERN, Letter, Word, alpha_word, diamond
+from .algebra import AlgebraElement, Scalar, _accumulate, alpha_alg, diamond_alg, scale
+from .words import NAME_PATTERN, Word, _marks, _packed, alpha_word
+from .words import diamond_closed as diamond  # the word '*'; perfbench/smoke.py patches the name
 
 T = TypeVar("T")
 
@@ -82,41 +83,56 @@ def tokenize(text: str) -> List[Token]:
 
 # ---------------------------------------------------------------- syntax tree
 
-@dataclass(frozen=True)
-class WordLit:
+class _Node:
+    """``==``, ``hash`` and ``repr`` from one walk over the tree, so they work
+    at any depth: all three read the pieces of the dataclass text."""
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return _pieces(self, _repr) == _pieces(other, _repr) if same else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(_pieces(self, _repr)))
+
+    def __repr__(self):
+        return "".join(p if isinstance(p, str) else repr(p) for p in _pieces(self, _repr))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class WordLit(_Node):
     word: Word
 
 
-@dataclass(frozen=True)
-class Alpha:
+@dataclass(frozen=True, eq=False, repr=False)
+class Alpha(_Node):
     expr: "Node"
 
 
-@dataclass(frozen=True)
-class Diamond:
+@dataclass(frozen=True, eq=False, repr=False)
+class Diamond(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False, repr=False)
+class Add(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Sub:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sub(_Node):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     expr: "Node"
 
 
-@dataclass(frozen=True)
-class Scaled:
+@dataclass(frozen=True, eq=False, repr=False)
+class Scaled(_Node):
     coeff: Scalar  # an int, or a Fraction when the scalar has a denominator
     expr: "Node"
 
@@ -177,7 +193,8 @@ class _Parser:
                 self.peek().kind == "NAME" and self.peek().text != "A"
             ):
                 letters.append(self.atom())
-            node: Node = WordLit(Word(tuple(letters)))
+            names, marks = zip(*letters)
+            node: Node = WordLit(_packed(names, int("".join(marks), 2)))
             fresh = False
             while True:  # node is a finished factor; close what it finishes
                 prod = node if prod is None else Diamond(prod, node)
@@ -222,16 +239,17 @@ class _Parser:
             self.fail(dot, "a scalar attaches with '.', as in 3/2 . x")
         return scalar
 
-    def atom(self) -> Letter:
-        """A letter; expression() calls it only on '[' or a name other than 'A'."""
+    def atom(self) -> Tuple[str, str]:
+        """A letter's name and mark, '0' or '1'; expression() calls it only on
+        '[' or a name other than 'A'.  A NAME token is already a valid name."""
         tok = self.take()
         if tok.kind == "NAME":
-            return Letter(tok.text, 0)
+            return tok.text, "0"
         name = self.expect("NAME", "a generator name")
         if name.text == "A":
             self.fail(name, _RESERVED)
         self.expect("]", "']'")
-        return Letter(name.text, 1)
+        return name.text, "1"
 
 
 def parse_expression(text: str) -> Node:
@@ -274,6 +292,25 @@ def _walk(node: Node, visit: Callable[..., T]) -> T:
     return results[0]
 
 
+def _pieces(node: Node, visit: Callable[..., list]) -> list:
+    """The leaves, in order, of the nested lists that _walk(node, visit)
+    returns.  Flattening once, at the end, keeps a deep tree linear."""
+    out, stack = [], [_walk(node, visit)]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, list):
+            stack.extend(reversed(piece))
+        else:
+            out.append(piece)
+    return out
+
+
+def _fill(fmt: str, parts: tuple) -> list:
+    """fmt split at its %s slots, with parts in between."""
+    pieces = fmt.split("%s")
+    return [piece for pair in zip(pieces, parts + ("",)) for piece in pair]
+
+
 def _lift(v: Union[Word, AlgebraElement]) -> AlgebraElement:
     return AlgebraElement.from_word(v) if isinstance(v, Word) else v
 
@@ -289,10 +326,12 @@ def _value(node: Node, *args: Union[Word, AlgebraElement]) -> Union[Word, Algebr
             return diamond(u, v)
         return diamond_alg(_lift(u), _lift(v))
     a = [_lift(x) for x in args]
-    if isinstance(node, Add):
-        return add(a[0], a[1])
-    if isinstance(node, Sub):
-        return add(a[0], scale(-1, a[1]))
+    if isinstance(node, (Add, Sub)):
+        # Every element the walk builds is fresh and consumed once, by its
+        # parent, so the left operand takes the sum in place: long sums are linear.
+        items = a[1].terms.items()
+        _accumulate(a[0].terms, items if isinstance(node, Add) else ((w, -c) for w, c in items))
+        return a[0]
     return scale(-1 if isinstance(node, Neg) else node.coeff, a[0])
 
 
@@ -336,18 +375,30 @@ _FORMATS = {
 }
 
 
-def _text(node: Node, *parts: str) -> str:
+def _text(node: Node, *parts) -> Union[str, list]:
     if isinstance(node, WordLit):
         text = str(node.word)
-        return text if len(node.word.letters) == 1 else "(%s)" % text
+        return text if len(node.word) == 1 else "(%s)" % text
     if isinstance(node, Scaled):
         parts = (str(node.coeff),) + parts
-    return _FORMATS[type(node)] % parts
+    return _fill(_FORMATS[type(node)], parts)
+
+
+_REPRS = {  # the dataclass text, as "Diamond(left=%s, right=%s)"
+    c: "%s(%s)" % (c.__qualname__, ", ".join(f.name + "=%s" for f in fields(c)))
+    for c in (WordLit, *_FORMATS)
+}
+
+
+def _repr(node: Node, *parts) -> list:
+    if isinstance(node, (WordLit, Scaled)):  # the word or coefficient itself
+        parts = (node.word if isinstance(node, WordLit) else node.coeff,) + parts
+    return _fill(_REPRS[type(node)], parts)
 
 
 def render_expr(node: Node) -> str:
     """Fully parenthesized text; parsing it back yields the same tree."""
-    return _walk(node, _text)
+    return "".join(_pieces(node, _text))
 
 
 def generator_expression(w: Word) -> str:
@@ -356,7 +407,7 @@ def generator_expression(w: Word) -> str:
     The twisted product with a single letter on the left is concatenation,
     so peeling letters off the front gives a right-nested product.
     """
-    parts = ["A(%s)" % l.name if l.bit else l.name for l in w.letters]
+    parts = ["A(%s)" % n if m == "1" else n for n, m in zip(w.names, _marks(w))]
     expr = parts.pop()
     for k, part in enumerate(reversed(parts)):
         expr = "%s * %s" % (part, "(%s)" % expr if k else expr)

@@ -21,7 +21,7 @@ from .finite import (
     check_involutive_alpha,
     check_multiplicative,
 )
-from .words import Letter, Word, alpha_power, alpha_word, diamond, iter_words
+from .words import Word, _check_name, _marks, _packed, alpha_power, alpha_word, diamond, iter_words
 
 
 # Each law an extension target needs: the name `eval` reports, the checker,
@@ -60,7 +60,7 @@ class GeneratorAssignment:
         _require_lawful(self.target)
         object.__setattr__(self, "mapping", dict(self.mapping))
         for name, v in self.mapping.items():
-            Letter(name)
+            _check_name(name)
             if not isinstance(v, int) or not 0 <= v < self.target.order:
                 raise ValueError("generator %r must map to an element index" % name)
 
@@ -73,11 +73,11 @@ def extend(assign: GeneratorAssignment, w: Word) -> int:
     """Image of a word under the induced morphism, as a target index."""
     mapping, mul, al = assign.mapping, assign.target.mul, assign.target.alpha
     imgs = []  # left to right, so the leftmost unmapped generator is reported
-    for letter in w.letters:
-        if letter.name not in mapping:
-            raise ValueError("no image assigned to generator %r" % letter.name)
-        img = mapping[letter.name]
-        imgs.append(al[img] if letter.bit else img)
+    for name, mark in zip(w.names, _marks(w)):
+        if name not in mapping:
+            raise ValueError("no image assigned to generator %r" % name)
+        img = mapping[name]
+        imgs.append(al[img] if mark == "1" else img)
     img = imgs.pop()
     for left in reversed(imgs):
         img = mul[left][img]
@@ -86,9 +86,9 @@ def extend(assign: GeneratorAssignment, w: Word) -> int:
 
 def _random_word(rng: random.Random, names, max_len: int) -> Word:
     k = rng.randint(1, max_len)
-    return Word(
-        tuple(Letter(rng.choice(names), rng.randint(0, 1)) for _ in range(k))
-    )
+    # a name, then a mark, per letter: the call order that a seed fixes
+    letter_names, marks = zip(*[(rng.choice(names), str(rng.randint(0, 1))) for _ in range(k)])
+    return _packed(letter_names, int("".join(marks), 2))
 
 
 def verify_morphism(
@@ -139,10 +139,10 @@ def verify_uniqueness(
         raise ValueError("exhaustive check is capped at 3 generators, length 5")
     mul = assign.target.mul
     for w in iter_words(names, max_len):
-        for s in range(1, len(w)):
-            head = tuple(l.flipped() for l in w.letters[: s - 1])
-            u = Word(head + (w.letters[s - 1],))
-            v = alpha_power(Word(w.letters[s:]), s - 1)
-            if extend(assign, w) != mul[extend(assign, u)][extend(assign, v)]:
+        n, image = len(w), extend(assign, w)
+        for s in range(1, n):
+            u = _packed(w.names[:s], (w.bits >> (n - s)) ^ ((1 << s) - 2))
+            v = alpha_power(_packed(w.names[s:], w.bits & ((1 << (n - s)) - 1)), s - 1)
+            if image != mul[extend(assign, u)][extend(assign, v)]:
                 return (w, s)
     return None

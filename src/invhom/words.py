@@ -7,6 +7,11 @@ concatenates when the left factor is a single letter and otherwise recurses
 with a bit flip.  Together these make the set of words a free involutive
 Hom-semigroup on the generator names.
 
+A ``Word`` is packed: a tuple of ``names`` plus one int of ``bits``, the
+last letter at bit 0.  The involution is an XOR with ``(1 << len) - 1``, and
+the closed-form product a tuple concat plus a shift and an OR.  Names are
+checked once, where they come in; ``Word.letters`` is a read-only view.
+
 Everything here is an immutable value and every operation is a pure
 function, so concurrent use needs no coordination.
 """
@@ -16,11 +21,16 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Tuple
 
 # The one rule for a generator name; the expression tokenizer uses it too.
 NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(NAME_PATTERN + r"\Z")
+
+
+def _check_name(name) -> None:
+    if not isinstance(name, str) or not _NAME_RE.match(name):
+        raise ValueError(f"bad generator name {name!r}: need {NAME_PATTERN}")
 
 
 @dataclass(frozen=True)
@@ -31,10 +41,7 @@ class Letter:
     bit: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
-            raise ValueError(
-                f"bad generator name {self.name!r}: need {NAME_PATTERN}"
-            )
+        _check_name(self.name)
         if self.bit not in (0, 1):
             raise ValueError(f"exponent bit must be 0 or 1, got {self.bit!r}")
 
@@ -45,41 +52,82 @@ class Letter:
         return f"[{self.name}]" if self.bit else self.name
 
 
-@dataclass(frozen=True)
 class Word:
-    """Nonempty sequence of letters.
+    """Nonempty sequence of letters, stored as ``names`` and ``bits``.
 
     There is deliberately no empty word: the structure is a semigroup, not a
     monoid, so emptiness is rejected at construction instead of normalized.
     """
 
-    letters: tuple[Letter, ...]
+    __slots__ = ("names", "bits", "_hash")
 
-    def __post_init__(self) -> None:
-        letters = tuple(self.letters)
+    def __new__(cls, letters: Sequence[Letter]) -> Word:
+        letters = tuple(letters)
         if not letters:
             raise ValueError("empty word: a word has at least one letter")
         for entry in letters:
             if not isinstance(entry, Letter):
                 raise TypeError(f"word entries must be Letter, got {entry!r}")
-        object.__setattr__(self, "letters", letters)
+        marks = "".join("1" if entry.bit else "0" for entry in letters)
+        return _packed(tuple(entry.name for entry in letters), int(marks, 2))
+
+    @property
+    def letters(self) -> Tuple[Letter, ...]:
+        return tuple(Letter(n, int(m)) for n, m in zip(self.names, _marks(self)))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a Word is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (_packed, (self.names, self.bits))
+
+    def __eq__(self, other):
+        if not isinstance(other, Word):
+            return NotImplemented
+        return self.bits == other.bits and self.names == other.names
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.names)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
     def __str__(self) -> str:
-        return " ".join(str(letter) for letter in self.letters)
+        return " ".join(
+            f"[{n}]" if m == "1" else n for n, m in zip(self.names, _marks(self))
+        )
 
     def __repr__(self) -> str:
         return f"parse_word({str(self)!r})"
 
 
+# The slots' own setters, which Word.__setattr__ does not block.
+_set_names, _set_bits, _set_hash = (getattr(Word, s).__set__ for s in Word.__slots__)
+
+
+def _packed(names: Tuple[str, ...], bits: int) -> Word:
+    """A word from names already checked and their bits, with no checks."""
+    w = object.__new__(Word)
+    _set_names(w, names)
+    _set_bits(w, bits)
+    _set_hash(w, hash((names, bits)))
+    return w
+
+
+def _marks(w: Word) -> str:
+    """The exponent bits as a string of '0' and '1', first letter first."""
+    return format(w.bits, "0%db" % len(w.names))
+
+
 def embed(name: str) -> Word:
     """Include a generator as the one-letter word with exponent bit 0."""
-    return Word((Letter(name, 0),))
+    _check_name(name)
+    return _packed((name,), 0)
 
 
 def parse_word(text: str) -> Word:
@@ -87,13 +135,14 @@ def parse_word(text: str) -> Word:
     atoms = text.split()
     if not atoms:
         raise ValueError("empty word: a word has at least one letter")
-    letters = []
+    names, marks = [], []
     for atom in atoms:
-        if atom.startswith("[") and atom.endswith("]") and len(atom) > 2:
-            letters.append(Letter(atom[1:-1], 1))
-        else:
-            letters.append(Letter(atom, 0))
-    return Word(tuple(letters))
+        bracketed = atom.startswith("[") and atom.endswith("]") and len(atom) > 2
+        name = atom[1:-1] if bracketed else atom
+        _check_name(name)
+        names.append(name)
+        marks.append("1" if bracketed else "0")
+    return _packed(tuple(names), int("".join(marks), 2))
 
 
 def render_word(w: Word) -> str:
@@ -102,17 +151,17 @@ def render_word(w: Word) -> str:
 
 
 def word_length(w: Word) -> int:
-    return len(w.letters)
+    return len(w.names)
 
 
 def concat(w: Word, w2: Word) -> Word:
     """Plain juxtaposition (the free-semigroup product, not the twisted one)."""
-    return Word(w.letters + w2.letters)
+    return _packed(w.names + w2.names, (w.bits << len(w2.names)) | w2.bits)
 
 
 def alpha_word(w: Word) -> Word:
     """Flip every letter's exponent bit.  An involution, and letterwise."""
-    return Word(tuple(letter.flipped() for letter in w.letters))
+    return _packed(w.names, w.bits ^ ((1 << len(w.names)) - 1))
 
 
 def alpha_power(w: Word, n: int) -> Word:
@@ -126,13 +175,15 @@ def diamond(w: Word, w2: Word) -> Word:
     A single-letter left factor concatenates onto the right factor.
     Otherwise the first letter is flipped and prepended to
     ``diamond(rest-of-left, alpha_word(right))``; the loop takes those
-    steps in order until one letter of the left factor is left.
+    steps in order until one letter of the left factor is left.  Each step
+    flips one bit of the left factor and every bit of the right one.
     """
-    head = []
-    for letter in w.letters[:-1]:
-        head.append(letter.flipped())
-        w2 = alpha_word(w2)
-    return Word(tuple(head) + w.letters[-1:] + w2.letters)
+    bits, right, m = w.bits, w2.bits, len(w2.names)
+    everything = (1 << m) - 1
+    for position in range(len(w.names) - 1, 0, -1):
+        bits ^= 1 << position
+        right ^= everything
+    return _packed(w.names + w2.names, (bits << m) | right)
 
 
 def diamond_closed(w: Word, w2: Word) -> Word:
@@ -140,17 +191,13 @@ def diamond_closed(w: Word, w2: Word) -> Word:
 
     Flip the bits of all but the last letter of the left factor, keep its last
     letter, then append the right factor with every bit flipped iff the left
-    factor has even length.  Implemented loop-only, sharing no recursion with
-    diamond(), so the two serve as mutual oracles.
+    factor has even length.  Straight-line, sharing no loop with diamond(), so
+    the two serve as mutual oracles.
     """
-    i = len(w.letters)
-    head = tuple(Letter(l.name, (l.bit + 1) % 2) for l in w.letters[:-1])
-    head += (w.letters[-1],)
-    if (i - 1) % 2:
-        tail = tuple(Letter(l.name, (l.bit + 1) % 2) for l in w2.letters)
-    else:
-        tail = w2.letters
-    return Word(head + tail)
+    n, m = len(w.names), len(w2.names)
+    head = w.bits ^ ((1 << n) - 2)
+    tail = w2.bits if n % 2 else w2.bits ^ ((1 << m) - 1)
+    return _packed(w.names + w2.names, (head << m) | tail)
 
 
 def iter_words(names: Sequence[str], max_len: int) -> Iterator[Word]:
@@ -159,7 +206,10 @@ def iter_words(names: Sequence[str], max_len: int) -> Iterator[Word]:
     Per length, iteration is the product order over the alphabet listed as
     name, [name], next name, ... so streams are reproducible.
     """
-    alphabet = [Letter(name, bit) for name in names for bit in (0, 1)]
+    for name in names:
+        _check_name(name)
+    alphabet = [(name, mark) for name in names for mark in "01"]
     for m in range(1, max_len + 1):
         for combo in itertools.product(alphabet, repeat=m):
-            yield Word(combo)
+            letter_names, marks = zip(*combo)
+            yield _packed(letter_names, int("".join(marks), 2))

@@ -60,6 +60,17 @@ def test_coefficients_keep_their_exact_type():
     assert type(AlgebraElement({w: True}).terms[w]) is int
 
 
+def test_an_integral_fraction_is_stored_as_an_int():
+    a = eval_algebra("1/2 . x + 1/2 . x")
+    assert a.terms == {parse_word("x"): 1}
+    assert [type(c) for c in a.terms.values()] == [int]
+    assert [type(c) for c in (a * eval_algebra("2 . y")).terms.values()] == [int]
+    assert [type(c) for c in scale(Fraction(4, 2), wd("x")).terms.values()] == [int]
+    assert [type(c) for c in scale(2, eval_algebra("1/2 . x")).terms.values()] == [int]
+    assert [type(c) for c in AlgebraElement({parse_word("x"): Fraction(3, 3)}).terms.values()] == [int]
+    assert str(a) == "x" and str(eval_algebra("3/2 . x + 1/2 . x")) == "2 . x"
+
+
 def test_difference_of_equal_words_is_zero():
     assert wd("x [y]") - wd("x [y]") == AlgebraElement.zero()
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -128,6 +129,24 @@ def test_long_and_deep_expressions(run):
     assert out.endswith("\n3000 . x\n")
     zero_product = "(0 . x) * " + " * ".join(["x"] * 2999)
     assert run("expand", "--", zero_product) == (0, "0\n", "")
+
+
+def test_long_sums_print_every_term_in_order(run):
+    rng = random.Random(8000)
+    terms = []
+    for i in range(8000):
+        atoms = ["x%d" % i] + (["[y]"] if i % 3 == 0 else [])
+        terms.append(" ".join("[%s]" % a if i % 2 and a[0] == "x" else a for a in atoms))
+    rng.shuffle(terms)
+
+    def key(term):  # by length, then letter by letter: name, then bare before marked
+        atoms = term.split()
+        return len(atoms), [(a.strip("[]"), a.startswith("[")) for a in atoms]
+
+    total = " + ".join(terms)
+    assert run("expand", total) == (0, " + ".join(sorted(terms, key=key)) + "\n", "")
+    assert run("expand", total + " - " + " - ".join(terms)) == (0, "0\n", "")
+    assert run("expand", " - ".join(terms[:1] * 4000)) == (0, "-3998 . %s\n" % terms[0], "")
 
 
 def test_printed_expressions_parse_back(run):

@@ -1,3 +1,5 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,15 @@ from hypothesis import strategies as st
 from invhom import expressions
 from invhom.algebra import AlgebraElement, scale
 from invhom.expressions import (
+    Add,
+    Alpha,
+    Diamond,
     ModeError,
+    Neg,
     ParseError,
+    Scaled,
+    Sub,
+    WordLit,
     eval_algebra,
     eval_word,
     evaluate,
@@ -16,7 +25,7 @@ from invhom.expressions import (
     parse_expression,
     render_expr,
 )
-from invhom.words import Letter, Word, parse_word
+from invhom.words import Letter, Word, diamond, parse_word
 
 letters = st.builds(Letter, st.sampled_from(["x", "y", "zz"]), st.integers(0, 1))
 words = st.builds(Word, st.lists(letters, min_size=1, max_size=6).map(tuple))
@@ -38,6 +47,14 @@ def test_product_is_left_associative():
     assert eval_word("x * y") == w("x y")
     assert eval_word("x * y * z") == w("[x] y [z]")
     assert eval_word("x * (y * z)") == w("x y z")
+
+
+def test_a_long_product_chain_is_the_fold_of_the_product():
+    rng = random.Random(1000)
+    factors = [rng.choice(["x", "[y]", "z [x]"]) for _ in range(1000)]
+    expected = functools.reduce(diamond, [w(f) for f in factors])
+    assert eval_word(" * ".join(factors)) == expected
+    assert eval_word(" * ".join(["x"] * 1000)) == functools.reduce(diamond, [w("x")] * 1000)
 
 
 def test_involution_application():
@@ -141,6 +158,18 @@ def test_unbalanced_and_trailing_input():
     expect_error("2² . x", "unexpected character", 1, 2)
 
 
+def test_bad_names_keep_their_error_texts():
+    for text, message in [
+        ("x é", "line 1, column 3: unexpected character 'é'"),
+        ("[1x]", "line 1, column 2: expected a generator name, found '1'"),
+        ("x [A]", "line 1, column 4: 'A' is reserved for the involution; "
+         "name the generator A_ instead"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_expression(text)
+        assert str(info.value) == message
+
+
 def test_nesting_has_no_depth_cap():
     deep = "(" * 200 + "x" + ")" * 200
     assert parse_expression(deep) == parse_expression("x")
@@ -175,6 +204,49 @@ def test_render_round_trips():
     ]:
         node = parse_expression(text)
         assert parse_expression(render_expr(node)) == node
+
+
+def _deep(depth, leaf):
+    """A tree of the given depth whose spine cycles through every node class."""
+    x, y = WordLit(w("x")), WordLit(w("[y] z"))
+    makers = [
+        Alpha, lambda n: Diamond(n, y), lambda n: Add(x, n),
+        lambda n: Sub(n, y), Neg, lambda n: Scaled(Fraction(3, 2), n),
+    ]
+    node = leaf
+    for k in range(depth):
+        node = makers[k % 6](node)
+    return node
+
+
+def test_equality_hash_and_repr_work_at_any_depth():
+    x, y = WordLit(w("x")), WordLit(w("y"))
+    a, b = _deep(100_000, x), _deep(100_000, x)
+    assert a == b and hash(a) == hash(b)
+    text = repr(a)
+    assert text.startswith(
+        "Sub(left=Add(left=WordLit(word=parse_word('x')), right=Diamond(left=Alpha("
+        "expr=Scaled(coeff=Fraction(3, 2), expr=Neg(expr=Sub(left=Add("
+    )
+    assert text.count("Alpha(expr=") == 16_667
+    deep = _deep(20_000, x)
+    assert deep != _deep(20_000, y) and deep != _deep(19_999, x)
+    assert parse_expression(render_expr(deep)) == deep
+
+
+def test_shallow_trees_keep_the_dataclass_text():
+    node = parse_expression("2 . x * [y] - A(x z)")
+    assert repr(node) == (
+        "Sub(left=Scaled(coeff=2, expr=Diamond(left=WordLit(word=parse_word('x')), "
+        "right=WordLit(word=parse_word('[y]')))), "
+        "right=Alpha(expr=WordLit(word=parse_word('x z'))))"
+    )
+    assert node == parse_expression("(2 . (x * [y])) - A(x z)")
+    assert node != parse_expression("2 . x * [y] + A(x z)")
+    assert Scaled(2, WordLit(w("x"))) == Scaled(Fraction(2), WordLit(w("x")))
+    assert hash(Scaled(2, WordLit(w("x")))) == hash(Scaled(Fraction(2), WordLit(w("x"))))
+    assert Alpha(WordLit(w("x"))) != Neg(WordLit(w("x")))
+    assert (WordLit(w("x")) == w("x")) is False
 
 
 @given(st.text(st.sampled_from(list("xyA_12/.*+-()[] \n")), max_size=40))

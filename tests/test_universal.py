@@ -46,6 +46,12 @@ def test_images_must_be_indices():
         GeneratorAssignment(fixture("involutive"), {"x": "x"})
 
 
+def test_a_bad_generator_name_keeps_its_error_text():
+    with pytest.raises(ValueError) as info:
+        GeneratorAssignment(fixture("involutive"), {"x": 0, "1x": 0})
+    assert str(info.value) == "bad generator name '1x': need [A-Za-z_][A-Za-z0-9_]*"
+
+
 # ---------------------------------------------------------------- extension
 
 def test_extend_base_case_twists_by_alpha():

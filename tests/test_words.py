@@ -20,7 +20,25 @@ from invhom.words import (
 )
 
 letters = st.builds(Letter, st.sampled_from(["x", "y", "z"]), st.integers(0, 1))
-words = st.builds(Word, st.lists(letters, min_size=1, max_size=8).map(tuple))
+letter_tuples = st.lists(letters, min_size=1, max_size=8).map(tuple)
+words = st.builds(Word, letter_tuples)
+
+
+def _random_word(rng, length):
+    return Word(tuple(Letter(rng.choice("xyz"), rng.randint(0, 1)) for _ in range(length)))
+
+
+# up to 2,000 letters, with the lengths around each 64-bit boundary drawn often
+lengths = st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129]) | st.integers(1, 2000)
+long_words = st.builds(_random_word, st.randoms(use_true_random=False), lengths)
+
+
+def reference_diamond(u, v):
+    """The closed form on Letter tuples: flip all but the last letter of u,
+    and every letter of v when u has even length."""
+    head = tuple(l.flipped() for l in u.letters[:-1]) + u.letters[-1:]
+    tail = tuple(l.flipped() for l in v.letters) if len(u) % 2 == 0 else v.letters
+    return Word(head + tail)
 
 
 # ---------------------------------------------------------------- construction
@@ -55,6 +73,35 @@ def test_empty_word_rejected():
         Word(("x",))
 
 
+def test_bad_names_keep_their_error_texts():
+    need = ": need [A-Za-z_][A-Za-z0-9_]*"
+    for make, text in [
+        (lambda: Letter("x-y"), "bad generator name 'x-y'" + need),
+        (lambda: Letter(3), "bad generator name 3" + need),
+        (lambda: parse_word("x y-z"), "bad generator name 'y-z'" + need),
+        (lambda: parse_word("[]"), "bad generator name '[]'" + need),
+        (lambda: embed("1x"), "bad generator name '1x'" + need),
+        (lambda: next(iter_words(["x", "y-"], 1)), "bad generator name 'y-'" + need),
+        (lambda: Word(()), "empty word: a word has at least one letter"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == text
+    with pytest.raises(TypeError) as info:
+        Word(("x",))
+    assert str(info.value) == "word entries must be Letter, got 'x'"
+
+
+def test_words_are_immutable():
+    w = parse_word("x [y]")
+    for field, value in [("names", ("z",)), ("bits", 0), ("letters", ())]:
+        with pytest.raises(AttributeError):
+            setattr(w, field, value)
+        with pytest.raises(AttributeError):
+            delattr(w, field)
+    assert w == parse_word("x [y]") and hash(w) == hash(parse_word("x [y]"))
+
+
 def test_parse_and_render():
     w = parse_word("x [y] z")
     assert w.letters == (Letter("x", 0), Letter("y", 1), Letter("z", 0))
@@ -67,6 +114,36 @@ def test_parse_render_round_trip(w):
     assert parse_word(render_word(w)) == w
 
 
+@given(letter_tuples)
+def test_letters_view_returns_the_letters(letters):
+    w = Word(letters)
+    assert w.letters == letters
+    assert tuple(w) == letters
+    assert w.names == tuple(l.name for l in letters)
+    assert w.bits == int("".join(str(l.bit) for l in letters), 2)
+
+
+_SHORT_WORDS = {w: w for w in iter_words(["x", "y", "z"], 4)}
+
+
+@given(st.lists(letters, min_size=1, max_size=4).map(tuple))
+def test_every_way_of_making_a_word_agrees(letters):
+    from invhom.expressions import eval_word
+
+    made = Word(letters)
+    text = str(made)
+    first = Word(letters[:1])
+    for other in [
+        parse_word(text),
+        eval_word(text),
+        _SHORT_WORDS[made],
+        diamond(first, Word(letters[1:])) if len(letters) > 1 else first,
+        alpha_word(alpha_word(made)),
+    ]:
+        assert other == made and hash(other) == hash(made)
+        assert str(other) == text and repr(other) == repr(made)
+
+
 # ---------------------------------------------------------------- involution
 
 def test_alpha_on_generator():
@@ -77,9 +154,10 @@ def test_alpha_flips_each_bit():
     assert alpha_word(parse_word("x [y] z")) == parse_word("[x] y [z]")
 
 
-@given(words)
+@given(words | long_words)
 def test_alpha_is_an_involution(w):
     assert alpha_word(alpha_word(w)) == w
+    assert alpha_word(w).letters == tuple(l.flipped() for l in w.letters)
 
 
 @given(words)
@@ -125,6 +203,14 @@ def test_closed_form_matches_frozen_cases():
 @settings(max_examples=300)
 def test_recursive_and_closed_form_agree(u, v):
     assert diamond(u, v) == diamond_closed(u, v)
+
+
+@given(long_words, long_words)
+@settings(max_examples=60, deadline=None)
+def test_both_products_match_a_letter_level_reference(u, v):
+    expected = reference_diamond(u, v)
+    assert diamond(u, v) == expected
+    assert diamond_closed(u, v) == expected
 
 
 def test_recursion_handles_a_long_left_factor():
