@@ -3,8 +3,9 @@
 The span of all words is an algebra: the twisted product extends bilinearly
 and the involution extends linearly.  Coefficients are exact: ints stay
 ints, a Fraction appears only once a denominator does, and one that becomes
-integral is stored as its int again.  Elements normalize on construction,
-so equality is equality of coefficient dictionaries.
+integral is stored as its int again.  Only this module reads the coefficient
+dictionaries, and ``_combine`` builds every one, normalized, in one pass over
+(c, x) pairs, so equality is equality of dictionaries.
 """
 
 from __future__ import annotations
@@ -12,37 +13,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-from .words import Word, _marks, _packed, alpha_word
-from .words import diamond  # noqa: F401  not called here; perfbench/smoke.py patches the name
+from .words import Word, _decode, alpha_word
+from .words import diamond_closed as diamond  # the span's product; perfbench/smoke.py swaps it
 
 Scalar = Union[int, Fraction]
 
 
-def _coerce(c: Scalar) -> Scalar:
-    if isinstance(c, (int, Fraction)):
-        return c if c.__class__ in (int, Fraction) else +c  # a bool becomes an int
-    raise TypeError("coefficients must be ints or Fractions, got %r" % (c,))
-
-
 def _term_key(w: Word):
     # by length, then letter by letter: name first, then its mark
-    return (len(w.names), tuple(zip(w.names, _marks(w))))
+    return (len(w), tuple(_decode(w)))
 
 
-def _accumulate(acc: Dict[Word, Scalar], items: Iterable[Tuple[Word, Scalar]]) -> None:
-    """Add each (word, coefficient) into acc, dropping zeros and storing an
-    integral Fraction as its int.  The one normalization of coefficients."""
-    for w, c in items:
-        if not isinstance(w, Word):
-            raise TypeError("terms must be keyed by words, got %r" % (w,))
-        old = acc.get(w)
-        tot = _coerce(c) if old is None else old + _coerce(c)
-        if not tot:
-            acc.pop(w, None)
-        elif isinstance(tot, Fraction) and tot.denominator == 1:
-            acc[w] = tot.numerator
-        else:
-            acc[w] = tot
+def _word(w) -> Word:
+    if not isinstance(w, Word):
+        raise TypeError("terms must be keyed by words, got %r" % (w,))
+    return w
 
 
 class AlgebraElement:
@@ -55,8 +40,8 @@ class AlgebraElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Union[Mapping[Word, Scalar], Iterable[Tuple[Word, Scalar]]] = ()):
-        self.terms: Dict[Word, Scalar] = {}
-        _accumulate(self.terms, terms.items() if isinstance(terms, Mapping) else terms)
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        self.terms: Dict[Word, Scalar] = _combine((c, _word(w)) for w, c in items).terms
 
     @classmethod
     def zero(cls) -> "AlgebraElement":
@@ -82,10 +67,10 @@ class AlgebraElement:
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return add(self, scale(-1, other))
+        return _combine(((1, self), (-1, other)))
 
     def __neg__(self):
-        return scale(-1, self)
+        return _combine(((-1, self),))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -112,33 +97,49 @@ class AlgebraElement:
         return str(self)
 
 
-def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    total = AlgebraElement()
-    total.terms.update(a.terms)  # already normalized
-    _accumulate(total.terms, b.terms.items())
+def _combine(pairs: Iterable[Tuple[Scalar, Union[Word, AlgebraElement]]]) -> AlgebraElement:
+    """The sum of c·x over the (c, x) pairs, each x a word or an element, in
+    one pass.  The one normalization of coefficients: zeros are dropped, and
+    an integral Fraction is stored as its int."""
+    acc: Dict[Word, Scalar] = {}
+    for c, x in pairs:
+        if c.__class__ not in (int, Fraction):
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("coefficients must be ints or Fractions, got %r" % (c,))
+            c = +c  # a bool or another subclass becomes the plain int or Fraction
+        if isinstance(x, Word):
+            items = ((x, c),)
+        else:
+            items = x.terms.items() if c == 1 else [(w, c * cw) for w, cw in x.terms.items()]
+        for w, cw in items:
+            old = acc.get(w)
+            tot = cw if old is None else old + cw
+            acc[w] = tot.numerator if isinstance(tot, Fraction) and tot.denominator == 1 else tot
+            if not tot:
+                del acc[w]
+    total = object.__new__(AlgebraElement)
+    total.terms = acc
     return total
 
 
+def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    return _combine(((1, a), (1, b)))
+
+
 def scale(c: Scalar, a: AlgebraElement) -> AlgebraElement:
-    c = _coerce(c)
-    return AlgebraElement({w: c * coeff for w, coeff in a.terms.items()})
+    return _combine(((c, a),))
 
 
 def diamond_alg(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the twisted product of words: diamond_closed
-    written out, with each right term's fields and complement taken once."""
-    right = [(v.names, len(v.names), v.bits, cv) for v, cv in b.terms.items()]
-    flipped = [(names, m, bits ^ ((1 << m) - 1), cv) for names, m, bits, cv in right]
-    return AlgebraElement(
-        (_packed(u.names + names, (u.bits ^ ((1 << len(u.names)) - 2)) << m | tail), cu * cv)
-        for u, cu in a.terms.items()
-        for names, m, tail, cv in (right if len(u.names) % 2 else flipped)
+    """Bilinear extension of the twisted product of words."""
+    return _combine(
+        (cu * cv, diamond(u, v)) for u, cu in a.terms.items() for v, cv in b.terms.items()
     )
 
 
 def alpha_alg(a: AlgebraElement) -> AlgebraElement:
     """Linear extension of the involution; a bijection on terms."""
-    return AlgebraElement({alpha_word(w): c for w, c in a.terms.items()})
+    return _combine((c, alpha_word(w)) for w, c in a.terms.items())
 
 
 def equals(a: AlgebraElement, b: AlgebraElement) -> bool:

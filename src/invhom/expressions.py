@@ -18,8 +18,9 @@ denominator.  The name 'A' is reserved for the involution; a generator that
 wants the letter can use A_.  '(' and 'A(' nest to any depth.
 
 One walk over the tree, on an explicit stack, both evaluates and renders.
-The value stays a word while only words, 'A', and '*' are involved; '+',
-'-', and scalars move it to the linear span.
+The value stays a word while only words, 'A', and '*' are involved.  Each
+maximal run of '+', '-', and scalars is one step of the walk, one linear
+combination in the span, so a sum of any shape costs linear time.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
-from .algebra import AlgebraElement, Scalar, _accumulate, alpha_alg, diamond_alg, scale
-from .words import NAME_PATTERN, Word, _marks, _packed, alpha_word
-from .words import diamond_closed as diamond  # the word '*'; perfbench/smoke.py patches the name
+from .algebra import AlgebraElement, Scalar, _combine, alpha_alg, diamond_alg
+from .words import NAME_PATTERN, Word, _decode, _encode, alpha_word
+from .words import diamond_closed as diamond  # the word '*'; perfbench/smoke.py swaps it
 
 T = TypeVar("T")
 
@@ -138,6 +139,7 @@ class Scaled(_Node):
 
 
 Node = Union[WordLit, Alpha, Diamond, Add, Sub, Neg, Scaled]
+_LINEAR = (Add, Sub, Neg, Scaled)  # the nodes of a run: sums and scalar multiples
 
 _RESERVED = "'A' is reserved for the involution; name the generator A_ instead"
 
@@ -193,8 +195,7 @@ class _Parser:
                 self.peek().kind == "NAME" and self.peek().text != "A"
             ):
                 letters.append(self.atom())
-            names, marks = zip(*letters)
-            node: Node = WordLit(_packed(names, int("".join(marks), 2)))
+            node: Node = WordLit(_encode(letters))
             fresh = False
             while True:  # node is a finished factor; close what it finishes
                 prod = node if prod is None else Diamond(prod, node)
@@ -275,27 +276,41 @@ def _children(node: Node) -> Tuple[Node, ...]:
     raise TypeError("not an expression node: %r" % (node,))
 
 
-def _walk(node: Node, visit: Callable[..., T]) -> T:
+def _walk(node: Node, children: Callable[[Node], tuple], visit: Callable[..., T]) -> T:
     """Post-order fold without recursion: ``visit(n, *child results)`` for
-    every node n, children first, kept on an explicit stack."""
+    every node n, its children(n) first, kept on an explicit stack."""
     results: List[T] = []
-    stack = [(node, False)]
+    stack = [(node, None)]
     while stack:
-        n, expanded = stack.pop()
-        children = _children(n)
-        if children and not expanded:
-            stack.append((n, True))
-            stack.extend((c, False) for c in reversed(children))
+        n, kids = stack.pop()
+        if kids is None:  # first visit: come back to n after its children
+            kids = children(n)
+            stack.append((n, kids))
+            stack.extend((c, None) for c in reversed(kids))
         else:
-            k = len(results) - len(children)
+            k = len(results) - len(kids)
             results[k:] = [visit(n, *results[k:])]
     return results[0]
 
 
+def _run(node: Node) -> List[Tuple[Scalar, Node]]:
+    """(coefficient, operand) pairs, left to right, of the maximal run at node."""
+    out, stack = [], [(1, node)]
+    while stack:
+        c, n = stack.pop()
+        if isinstance(n, (Add, Sub)):
+            stack += [(-c if isinstance(n, Sub) else c, n.right), (c, n.left)]
+        elif isinstance(n, (Neg, Scaled)):
+            stack.append((-c if isinstance(n, Neg) else c * n.coeff, n.expr))
+        else:
+            out.append((c, n))
+    return out
+
+
 def _pieces(node: Node, visit: Callable[..., list]) -> list:
-    """The leaves, in order, of the nested lists that _walk(node, visit)
-    returns.  Flattening once, at the end, keeps a deep tree linear."""
-    out, stack = [], [_walk(node, visit)]
+    """The leaves, in order, of the nested lists that _walk returns with
+    visit.  Flattening once, at the end, keeps a deep tree linear."""
+    out, stack = [], [_walk(node, _children, visit)]
     while stack:
         piece = stack.pop()
         if isinstance(piece, list):
@@ -325,26 +340,21 @@ def _value(node: Node, *args: Union[Word, AlgebraElement]) -> Union[Word, Algebr
         if isinstance(u, Word) and isinstance(v, Word):
             return diamond(u, v)
         return diamond_alg(_lift(u), _lift(v))
-    a = [_lift(x) for x in args]
-    if isinstance(node, (Add, Sub)):
-        # Every element the walk builds is fresh and consumed once, by its
-        # parent, so the left operand takes the sum in place: long sums are linear.
-        items = a[1].terms.items()
-        _accumulate(a[0].terms, items if isinstance(node, Add) else ((w, -c) for w, c in items))
-        return a[0]
-    return scale(-1 if isinstance(node, Neg) else node.coeff, a[0])
+    return _combine(zip([c for c, _ in _run(node)], args))  # a run, as evaluate walks it
 
 
 def evaluate(node: Node) -> Union[Word, AlgebraElement]:
     """The value of a tree: a word while only words, 'A', and '*' are
     involved, an element of the linear span from the first '+', '-', or
     scalar on, or when '*' or 'A' meets a combination."""
-    return _walk(node, _value)
+    return _walk(  # a run is one step, its operands the children
+        node, lambda n: [m for _, m in _run(n)] if isinstance(n, _LINEAR) else _children(n), _value
+    )
 
 
 def word_value(node: Node) -> Word:
     """evaluate(), refused before any work when the tree leaves the words."""
-    if _walk(node, lambda n, *sub: any(sub) or isinstance(n, (Add, Sub, Neg, Scaled))):
+    if _walk(node, _children, lambda n, *sub: any(sub) or isinstance(n, _LINEAR)):
         raise ModeError(
             "sums, differences, and scalars build combinations, not a single word"
         )
@@ -397,7 +407,9 @@ def _repr(node: Node, *parts) -> list:
 
 
 def render_expr(node: Node) -> str:
-    """Fully parenthesized text; parsing it back yields the same tree."""
+    """Fully parenthesized text.  Parsing it back gives the same tree for every
+    tree that parse_expression returns, and the same value for any tree with
+    int or Fraction coefficients and no generator named A."""
     return "".join(_pieces(node, _text))
 
 
@@ -407,7 +419,7 @@ def generator_expression(w: Word) -> str:
     The twisted product with a single letter on the left is concatenation,
     so peeling letters off the front gives a right-nested product.
     """
-    parts = ["A(%s)" % n if m == "1" else n for n, m in zip(w.names, _marks(w))]
+    parts = ["A(%s)" % n if m == "1" else n for n, m in _decode(w)]
     expr = parts.pop()
     for k, part in enumerate(reversed(parts)):
         expr = "%s * %s" % (part, "(%s)" % expr if k else expr)

@@ -21,7 +21,7 @@ from .finite import (
     check_involutive_alpha,
     check_multiplicative,
 )
-from .words import Word, _check_name, _marks, _packed, alpha_power, alpha_word, diamond, iter_words
+from .words import Word, _check_name, _decode, _encode, _split, alpha_word, diamond, iter_words
 
 
 # Each law an extension target needs: the name `eval` reports, the checker,
@@ -73,7 +73,7 @@ def extend(assign: GeneratorAssignment, w: Word) -> int:
     """Image of a word under the induced morphism, as a target index."""
     mapping, mul, al = assign.mapping, assign.target.mul, assign.target.alpha
     imgs = []  # left to right, so the leftmost unmapped generator is reported
-    for name, mark in zip(w.names, _marks(w)):
+    for name, mark in _decode(w):
         if name not in mapping:
             raise ValueError("no image assigned to generator %r" % name)
         img = mapping[name]
@@ -85,10 +85,8 @@ def extend(assign: GeneratorAssignment, w: Word) -> int:
 
 
 def _random_word(rng: random.Random, names, max_len: int) -> Word:
-    k = rng.randint(1, max_len)
-    # a name, then a mark, per letter: the call order that a seed fixes
-    letter_names, marks = zip(*[(rng.choice(names), str(rng.randint(0, 1))) for _ in range(k)])
-    return _packed(letter_names, int("".join(marks), 2))
+    k = rng.randint(1, max_len)  # then a name and a mark per letter: the order a seed fixes
+    return _encode([(rng.choice(names), str(rng.randint(0, 1))) for _ in range(k)])
 
 
 def verify_morphism(
@@ -139,10 +137,9 @@ def verify_uniqueness(
         raise ValueError("exhaustive check is capped at 3 generators, length 5")
     mul = assign.target.mul
     for w in iter_words(names, max_len):
-        n, image = len(w), extend(assign, w)
-        for s in range(1, n):
-            u = _packed(w.names[:s], (w.bits >> (n - s)) ^ ((1 << s) - 2))
-            v = alpha_power(_packed(w.names[s:], w.bits & ((1 << (n - s)) - 1)), s - 1)
+        image = extend(assign, w)
+        for s in range(1, len(w)):
+            u, v = _split(w, s)
             if image != mul[extend(assign, u)][extend(assign, v)]:
                 return (w, s)
     return None

@@ -11,6 +11,8 @@ A ``Word`` is packed: a tuple of ``names`` plus one int of ``bits``, the
 last letter at bit 0.  The involution is an XOR with ``(1 << len) - 1``, and
 the closed-form product a tuple concat plus a shift and an OR.  Names are
 checked once, where they come in; ``Word.letters`` is a read-only view.
+Only this module reads the packed form: others build and read words as
+(name, mark) pairs with ``_encode`` and ``_decode``, and factor them with ``_split``.
 
 Everything here is an immutable value and every operation is a pure
 function, so concurrent use needs no coordination.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 # The one rule for a generator name; the expression tokenizer uses it too.
 NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -68,12 +70,11 @@ class Word:
         for entry in letters:
             if not isinstance(entry, Letter):
                 raise TypeError(f"word entries must be Letter, got {entry!r}")
-        marks = "".join("1" if entry.bit else "0" for entry in letters)
-        return _packed(tuple(entry.name for entry in letters), int(marks, 2))
+        return _encode((entry.name, "1" if entry.bit else "0") for entry in letters)
 
     @property
     def letters(self) -> Tuple[Letter, ...]:
-        return tuple(Letter(n, int(m)) for n, m in zip(self.names, _marks(self)))
+        return tuple(Letter(n, int(m)) for n, m in _decode(self))
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"a Word is immutable: cannot set or delete {name!r}")
@@ -98,9 +99,7 @@ class Word:
         return iter(self.letters)
 
     def __str__(self) -> str:
-        return " ".join(
-            f"[{n}]" if m == "1" else n for n, m in zip(self.names, _marks(self))
-        )
+        return " ".join(f"[{n}]" if m == "1" else n for n, m in _decode(self))
 
     def __repr__(self) -> str:
         return f"parse_word({str(self)!r})"
@@ -119,9 +118,22 @@ def _packed(names: Tuple[str, ...], bits: int) -> Word:
     return w
 
 
-def _marks(w: Word) -> str:
-    """The exponent bits as a string of '0' and '1', first letter first."""
-    return format(w.bits, "0%db" % len(w.names))
+def _encode(pairs: Iterable[Tuple[str, str]]) -> Word:
+    """A word from one or more (name, mark) pairs: names checked, marks '0' or '1'."""
+    names, marks = zip(*pairs)
+    return _packed(names, int("".join(marks), 2))
+
+
+def _decode(w: Word) -> Iterator[Tuple[str, str]]:
+    """The (name, mark) pairs of a word, first letter first; _encode's inverse."""
+    return zip(w.names, format(w.bits, "0%db" % len(w.names)))
+
+
+def _split(w: Word, s: int) -> Tuple[Word, Word]:
+    """The unique (u, v) with len(u) == s and diamond(u, v) == w, 0 < s < len(w)."""
+    m = len(w.names) - s
+    tail = (w.bits if s % 2 else ~w.bits) & ((1 << m) - 1)  # undo the twist on the suffix
+    return _packed(w.names[:s], (w.bits >> m) ^ ((1 << s) - 2)), _packed(w.names[s:], tail)
 
 
 def embed(name: str) -> Word:
@@ -210,6 +222,4 @@ def iter_words(names: Sequence[str], max_len: int) -> Iterator[Word]:
         _check_name(name)
     alphabet = [(name, mark) for name in names for mark in "01"]
     for m in range(1, max_len + 1):
-        for combo in itertools.product(alphabet, repeat=m):
-            letter_names, marks = zip(*combo)
-            yield _packed(letter_names, int("".join(marks), 2))
+        yield from map(_encode, itertools.product(alphabet, repeat=m))

@@ -114,6 +114,34 @@ def test_scaling_is_an_action(c, d, a):
     assert scale(1, a) == a
 
 
+def _reference_sum(*pairs):
+    """The sum of c·a over (c, a) pairs on plain dicts: zero coefficients
+    dropped, an integral value stored as an int."""
+    acc = {}
+    for c, a in pairs:
+        for w, cw in a.terms.items():
+            acc[w] = acc.get(w, 0) + c * cw
+    return {w: int(v) if v.denominator == 1 else v for w, v in acc.items() if v}
+
+
+int_elements = st.lists(st.tuples(words, st.integers(-3, 3)), max_size=4).map(AlgebraElement)
+scalars = st.integers(-3, 3) | coeffs
+
+
+@given(elements | int_elements, elements | int_elements, scalars)
+def test_sums_and_multiples_match_a_dict_reference(a, b, c):
+    for got, want in [
+        (add(a, b), _reference_sum((1, a), (1, b))),
+        (a + b, _reference_sum((1, a), (1, b))),
+        (a - b, _reference_sum((1, a), (-1, b))),
+        (-a, _reference_sum((-1, a))),
+        (scale(c, a), _reference_sum((c, a))),
+        (c * a, _reference_sum((c, a))),
+    ]:
+        assert got.terms == want
+        assert [type(v) for v in got.terms.values()] == [type(v) for v in want.values()]
+
+
 # ---------------------------------------------------------------- algebra laws
 
 @given(elements, elements, elements, coeffs)

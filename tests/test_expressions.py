@@ -193,6 +193,31 @@ def test_render_is_fully_parenthesized():
             walk("x")
 
 
+def test_right_nested_sums_equal_their_left_nested_values():
+    n = 8000
+    terms = ["x%d%s" % (i, " [y]" if i % 3 == 0 else "") for i in range(n)]
+    shapes = {  # step k joins t_k to the rest: operator, scalar, factor on the rest
+        "+": lambda k: ("+", "", 1),
+        "-": lambda k: ("-", "", -1),
+        "mixed": lambda k: [("+", "2 . ", 2), ("-", "1/2 . ", Fraction(-1, 2)),
+                            ("+", "", 1), ("-", "", -1)][k % 4],
+    }
+    for step in shapes.values():
+        steps = [step(k) for k in range(n - 1)]
+        text = terms[-1]
+        for k in range(n - 2, -1, -1):  # t_k op (scalar . (rest))
+            op, scalar, _ = steps[k]
+            text = "%s %s %s(%s)" % (terms[k], op, scalar, text)
+        coeff, pairs = 1, [(w(terms[0]), 1)]
+        for k in range(n - 1):
+            coeff *= steps[k][2]
+            pairs.append((w(terms[k + 1]), coeff))
+        expected = AlgebraElement(pairs)
+        assert eval_algebra(text) == expected
+        left = " + ".join("%s . %s" % (c, t) if c != 1 else t for (_, c), t in zip(pairs, terms))
+        assert eval_algebra(left.replace("+ -", "- ")) == expected
+
+
 def test_render_round_trips():
     for text in [
         "x",
@@ -204,6 +229,17 @@ def test_render_round_trips():
     ]:
         node = parse_expression(text)
         assert parse_expression(render_expr(node)) == node
+    # the parser never builds a negative Scaled, so such a tree built by hand
+    # comes back as Neg of a positive one: the value round-trips, not the tree
+    x_y = Add(WordLit(w("x")), WordLit(w("[y] z")))
+    for coeff, back in [
+        (-2, Neg(Scaled(2, x_y))),
+        (Fraction(-1, 2), Neg(Scaled(Fraction(1, 2), x_y))),
+        (0, Scaled(0, x_y)),
+    ]:
+        node = Scaled(coeff, x_y)
+        again = parse_expression(render_expr(node))
+        assert again == back and evaluate(again) == evaluate(node)
 
 
 def _deep(depth, leaf):

@@ -149,11 +149,18 @@ def test_verify_uniqueness_cap():
 
 def test_split_factorizations_recover_the_word():
     # the factorization used by the uniqueness check really is a product
-    from invhom.words import alpha_power, iter_words
+    from invhom.words import _split, alpha_power, iter_words
 
-    for w in iter_words(["x", "y"], 4):
+    for w in iter_words(["x", "y"], 5):
         for s in range(1, len(w)):
             head = tuple(l.flipped() for l in w.letters[: s - 1])
             u = Word(head + (w.letters[s - 1],))
             v = alpha_power(Word(w.letters[s:]), s - 1)
             assert diamond(u, v) == w
+            assert _split(w, s) == (u, v)
+    rng = random.Random(2000)
+    for n in (63, 64, 65, 2000):
+        w = Word(tuple(Letter(rng.choice("xy"), rng.randint(0, 1)) for _ in range(n)))
+        for s in range(1, n) if n < 100 else rng.sample(range(1, n), 100) + [1, n - 1]:
+            u, v = _split(w, s)
+            assert (len(u), len(v)) == (s, n - s) and diamond(u, v) == w

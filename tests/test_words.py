@@ -114,6 +114,15 @@ def test_parse_render_round_trip(w):
     assert parse_word(render_word(w)) == w
 
 
+@given(words | long_words)
+def test_encoding_then_decoding_gives_back_the_word(w):
+    from invhom.words import _decode, _encode
+
+    pairs = list(_decode(w))
+    assert pairs == [(l.name, str(l.bit)) for l in w.letters]
+    assert _encode(pairs) == w and _encode(iter(pairs)) == w
+
+
 @given(letter_tuples)
 def test_letters_view_returns_the_letters(letters):
     w = Word(letters)
