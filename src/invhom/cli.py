@@ -24,6 +24,7 @@ from .expressions import (
     Alpha,
     ModeError,
     ParseError,
+    _TOO_LONG,
     evaluate,
     generator_expression,
     parse_expression,
@@ -75,8 +76,7 @@ def _cmd_value(args) -> int:
     try:
         text = str(value)
     except ValueError:  # a coefficient over sys.get_int_max_str_digits() digits
-        limit = sys.get_int_max_str_digits()
-        raise _CliError(2, "a coefficient has more than %d digits" % limit) from None
+        raise _CliError(2, _TOO_LONG % sys.get_int_max_str_digits()) from None
     print(text)
     return 0
 

@@ -142,6 +142,7 @@ Node = Union[WordLit, Alpha, Diamond, Add, Sub, Neg, Scaled]
 _LINEAR = (Add, Sub, Neg, Scaled)  # the nodes of a run: sums and scalar multiples
 
 _RESERVED = "'A' is reserved for the involution; name the generator A_ instead"
+_TOO_LONG = "a coefficient has more than %d digits"  # of sys.get_int_max_str_digits()
 
 
 class _Parser:
@@ -390,7 +391,10 @@ def _text(node: Node, *parts) -> Union[str, list]:
         text = str(node.word)
         return text if len(node.word) == 1 else "(%s)" % text
     if isinstance(node, Scaled):
-        parts = (str(node.coeff),) + parts
+        try:
+            parts = (str(node.coeff),) + parts
+        except ValueError:  # over sys.get_int_max_str_digits() digits
+            raise ValueError(_TOO_LONG % sys.get_int_max_str_digits()) from None
     return _fill(_FORMATS[type(node)], parts)
 
 
@@ -409,7 +413,9 @@ def _repr(node: Node, *parts) -> list:
 def render_expr(node: Node) -> str:
     """Fully parenthesized text.  Parsing it back gives the same tree for every
     tree that parse_expression returns, and the same value for any tree with
-    int or Fraction coefficients and no generator named A."""
+    int or Fraction coefficients and no generator named A.  A coefficient with
+    more than sys.get_int_max_str_digits() digits, which the parser never
+    builds, is a ValueError that names the limit."""
     return "".join(_pieces(node, _text))
 
 
@@ -417,9 +423,13 @@ def generator_expression(w: Word) -> str:
     """Build a word from bare generators using only '*' and the involution.
 
     The twisted product with a single letter on the left is concatenation,
-    so peeling letters off the front gives a right-nested product.
+    so peeling letters off the front gives a right-nested product.  A letter
+    named A is a ValueError, because the text would read it as the involution.
     """
-    parts = ["A(%s)" % n if m == "1" else n for n, m in _decode(w)]
+    pairs = list(_decode(w))
+    if any(n == "A" for n, _ in pairs):
+        raise ValueError(_RESERVED)
+    parts = ["A(%s)" % n if m == "1" else n for n, m in pairs]
     expr = parts.pop()
     for k, part in enumerate(reversed(parts)):
         expr = "%s * %s" % (part, "(%s)" % expr if k else expr)

@@ -9,6 +9,7 @@ from invhom.census import (
     Census,
     _fixed_tables,
     _scan,
+    _table_orbits,
     canonical_form,
     census,
     iter_matching,
@@ -270,3 +271,32 @@ def test_burnside_remainder_fails_loudly(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="not a multiple of 2"):
         census(2, up_to_iso=True)
+
+
+@pytest.mark.parametrize("order, orbits", [(1, 1), (2, 10), (3, 3330)])
+def test_table_orbits_cover_every_table_once(order, orbits):
+    # the orbit counts are the magmas up to isomorphism, OEIS A001329
+    found = list(_table_orbits(order))
+    assert len(found) == orbits
+    assert sum(size for _, size in found) == order ** (order * order)
+    tables = [table for table, _ in found]
+    assert tables == sorted(tables)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_each_orbit_starts_at_its_least_relabel_image(order):
+    labels, alpha = "abc"[:order], (0,) * order
+    for table, size in _table_orbits(order):
+        m = FiniteHomMagma(labels, table, alpha)
+        images = {relabel(m, g).mul for g in itertools.permutations(range(order))}
+        assert min(images) == table
+        assert len(images) == size
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_orbit_weighted_census_equals_the_brute_force_scan(order):
+    brute = collections.Counter(
+        map(operator.itemgetter(2), _scan(order, None, None, None, None, False))
+    )
+    counts = census(order).counts
+    assert {q: k for q, k in counts.items() if k} == dict(brute)

@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -305,3 +306,20 @@ def test_generator_expression_shape():
     assert generator_expression(w("x")) == "x"
     assert generator_expression(w("[x]")) == "A(x)"
     assert generator_expression(w("x [y] z")) == "x * (A(y) * z)"
+
+
+@pytest.mark.parametrize("text", ["A", "[A]", "A x", "x [A]", "x y A"])
+def test_generator_expression_refuses_a_letter_named_A(text):
+    # the text would read the letter as the involution
+    with pytest.raises(ValueError, match="^'A' is reserved for the involution"):
+        generator_expression(w(text))
+    assert generator_expression(w(text.replace("A", "A_"))).count("A_") == 1
+
+
+def test_render_refuses_a_coefficient_over_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for coeff in (10**5000, -(10**5000), Fraction(1, 10**5000)):
+        node = Add(WordLit(w("y")), Scaled(coeff, WordLit(w("x"))))
+        with pytest.raises(ValueError, match="^a coefficient has more than %d digits$" % limit):
+            render_expr(node)
+    assert render_expr(Scaled(10**100, WordLit(w("x")))) == "(%d . x)" % 10**100
