@@ -7,29 +7,29 @@ scan loop serves both the census and the filtered stream, and it checks the
 laws with the index-level kernel from finite.py, the same code behind the
 check_* functions.
 
-The laws do not change under relabeling, and relabeling by g maps the
-alphas one to one onto the alphas, so all product tables in one orbit of
-relabelings give the same counts of law quadruples over all alphas.  The raw
-census therefore scans one table per orbit, the least, against every alpha,
-and counts each quadruple orbit-size times: 3,330 tables instead of 19,683
-at order 3.
+Relabeling by g maps a candidate (mul, alpha) to (g.mul, g.alpha).  It keeps
+every law and maps the alphas one to one onto the alphas, so all product
+tables in one orbit of relabelings give the same counts of law quadruples
+over all alphas.  The raw census therefore scans one table per orbit, the
+least, against every alpha, and counts each quadruple n!/|Stab(mul)| times,
+the orbit's size: 3,330 tables instead of 19,683 at order 3.
 
-The census counts isomorphism classes by Burnside's lemma.  Each bucket is a
-union of classes, and its class count is the average over all relabelings g
-of the number of its candidates that g leaves unchanged.  The identity term
-is the raw count above; every other term scans only the few candidates that
-g fixes.  The stream instead tests each candidate's canonical form, because
-it must yield the least representative of each class.
+A candidate is the least member of its isomorphism class exactly when mul
+is the least table in its orbit and alpha is the least of its images under
+Stab(mul), the relabelings that fix mul (orderly generation, after McKay).
+The class census counts those candidates in the same pass, and the stream
+yields them; at order 3 only 93 of the 3,330 least tables have more than
+the identity in their stabilizer.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .finite import FiniteHomMagma
 from .finite import _assoc_witness, _hom_witness, _invol_witness, _mult_witness
@@ -39,26 +39,50 @@ _LABELS = ("a", "b", "c", "d")
 Quad = Tuple[bool, bool, bool, bool]
 
 
+@functools.lru_cache(maxsize=None)
+def _relabelings(n) -> Tuple[Tuple[tuple, tuple], ...]:
+    """Each relabeling g of range(n), identity first, paired with its inverse.
+
+    Relabeling by g moves element i to g[i], so the image of a table has
+    g[mul[h[p]][h[q]]] at cell (p, q) and the image of an alpha has
+    g[alpha[h[p]]] at p, where h is the inverse of g.
+    """
+    group = []
+    for g in itertools.permutations(range(n)):
+        h = [0] * n
+        for i, p in enumerate(g):
+            h[p] = i
+        group.append((g, tuple(h)))
+    return tuple(group)
+
+
 def canonical_form(mul, alpha) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Least relabeling of a candidate, flattened.
 
     Two candidates are isomorphic exactly when their canonical forms are
-    equal, so this doubles as the deduplication key for up_to_iso scans.
+    equal.  The up_to_iso scans do not call it; they yield exactly the
+    candidates that equal their own canonical form, so it serves as their
+    independent check.
     """
-    n = len(alpha)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        flat_mul = tuple(
-            perm[mul[inv[p]][inv[q]]] for p in range(n) for q in range(n)
-        )
-        flat_alpha = tuple(perm[alpha[inv[p]]] for p in range(n))
-        cand = (flat_mul, flat_alpha)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(
+        (tuple(g[mul[i][j]] for i in h for j in h), tuple(g[alpha[i]] for i in h))
+        for g, h in _relabelings(len(alpha))
+    )
+
+
+def _stabilizer(mul) -> list:
+    """Stab(mul) as (g, inverse) pairs if mul is least in its orbit, else [].
+
+    The identity fixes every table, so a least table's list is never empty.
+    """
+    flat, stab = sum(mul, ()), []
+    for g, h in _relabelings(len(mul)):
+        image = tuple(g[mul[i][j]] for i in h for j in h)
+        if image < flat:
+            return []
+        if image == flat:
+            stab.append((g, h))
+    return stab
 
 
 @dataclass(frozen=True)
@@ -98,27 +122,28 @@ def _scan(
     involutive_alpha,
     up_to_iso,
     tables=None,
-) -> Iterator[Tuple[tuple, tuple, Quad]]:
-    """Yield (mul, alpha, quad) for each order-n candidate passing the filters.
+) -> Iterator[Tuple[tuple, tuple, Quad, Optional[list]]]:
+    """Yield (mul, alpha, quad, stab) for each candidate passing the filters.
 
     Filters are three-valued as in iter_matching.  Laws run cheapest first
     (involution once per alpha, associativity once per product table, then
-    hom-associativity and multiplicativity), and the canonical-form test
-    last, so a rejected candidate costs as little as possible.  The
-    candidates are every product table paired with every alpha, or, when
-    ``tables`` is a pair (product tables, alphas), those two lists paired.
+    hom-associativity and multiplicativity), so a rejected candidate costs as
+    little as possible.  ``tables`` yields (mul, stab) pairs, stab being
+    Stab(mul) for a least mul; by default it is every product table with
+    stab None.  With up_to_iso a candidate passes only if mul is least in
+    its orbit and alpha is least under Stab(mul).  A table whose stab is None
+    gets it from _stabilizer once, when its first alpha passes the laws.
     """
     want_hom, want_assoc, want_mult, want_invol = (
         (False, True) if law is None else (law,)
         for law in (hom_associative, associative, multiplicative, involutive_alpha)
     )
+    rows = list(itertools.product(range(n), repeat=n))
     if tables is None:
-        rows = list(itertools.product(range(n), repeat=n))
-        tables = itertools.product(rows, repeat=n), rows
-    muls, alphas = tables
-    alphas = [(al, _invol_witness(al, n) is None) for al in alphas]
+        tables = ((mul, None) for mul in itertools.product(rows, repeat=n))
+    alphas = [(al, _invol_witness(al, n) is None) for al in rows]
     alphas = [(al, invol) for al, invol in alphas if invol in want_invol]
-    for mul in muls:
+    for mul, stab in tables:
         assoc = _assoc_witness(mul, n) is None
         if assoc not in want_assoc:
             continue
@@ -129,82 +154,49 @@ def _scan(
             mult = _mult_witness(mul, al, n) is None
             if mult not in want_mult:
                 continue
-            if up_to_iso and (sum(mul, ()), al) != canonical_form(mul, al):
-                continue
-            yield mul, al, (hom, assoc, mult, invol)
+            if up_to_iso:
+                if stab is None:
+                    stab = _stabilizer(mul)
+                if not stab:
+                    break
+                # al must be least among its images under Stab(mul); a
+                # stabilizer that is only the identity, as most are, passes all.
+                if len(stab) > 1 and any(
+                    tuple(g[al[i]] for i in h) < al for g, h in stab
+                ):
+                    continue
+            yield mul, al, (hom, assoc, mult, invol), stab
 
 
-def _orbit(start, move) -> list:
-    """The points start, move(start), move(move(start)), ... up to the repeat."""
-    orbit, p = [start], move(start)
-    while p != start:
-        orbit.append(p)
-        p = move(p)
-    return orbit
-
-
-def _fixed_tables(n, g) -> Tuple[list, list]:
-    """The product tables and the alphas that relabeling by g leaves unchanged.
-
-    relabel moves element i to g[i], so it fixes mul exactly when
-    mul[g i][g j] = g mul[i][j] for all cells, and alpha exactly when
-    alpha[g i] = g alpha[i].  Along the g-orbit of a cell (or of an element)
-    the first value v fixes all the others, and v is free among the elements
-    whose g-cycle length divides the orbit's length.
-    """
-    step = g.__getitem__
-    cycle = [len(_orbit(v, step)) for v in range(n)]
-
-    def fixed(points, move):
-        orbits = []
-        for p in points:
-            if all(p not in orbit for orbit, _ in orbits):
-                orbit = _orbit(p, move)
-                free = [v for v in range(n) if len(orbit) % cycle[v] == 0]
-                orbits.append((orbit, free))
-        for choice in itertools.product(*(free for _, free in orbits)):
-            table = {}
-            for (orbit, _), v in zip(orbits, choice):
-                for p in orbit:
-                    table[p] = v
-                    v = g[v]
-            yield tuple(table[p] for p in points)
-
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    muls = [
-        tuple(flat[i * n : i * n + n] for i in range(n))
-        for flat in fixed(cells, lambda c: (g[c[0]], g[c[1]]))
-    ]
-    return muls, list(fixed(range(n), step))
-
-
-def _table_orbits(n) -> Iterator[Tuple[tuple, int]]:
-    """Yield (least table, orbit size) for each relabeling orbit of product tables.
+def _table_orbits(n) -> Iterator[Tuple[tuple, List[Tuple[tuple, tuple]]]]:
+    """Yield (least table, its stabilizer) for each relabeling orbit of tables.
 
     The walk visits the product tables in scan order, so the first table it
     meets in an orbit is the orbit's least one.  It then marks every relabel
     image of that table in a bytearray indexed by row-major rank, which is
-    the table read as a base-n number, and counts the images it marks.
+    the table read as a base-n number.  The relabelings whose image is the
+    table itself, as (g, inverse) pairs, are its stabilizer, and the orbit
+    has n!/|Stab| tables.
     """
     rows = list(itertools.product(range(n), repeat=n))
     cells = n * n
     # for each g, the place value of the cell (g i, g j) that relabeling by g
     # moves cell k = (i, j) to
     places = [
-        (g, [n ** (cells - 1 - g[k // n] * n - g[k % n]) for k in range(cells)])
-        for g in itertools.permutations(range(n))
+        ((g, h), [n ** (cells - 1 - g[k // n] * n - g[k % n]) for k in range(cells)])
+        for g, h in _relabelings(n)
     ]
     seen = bytearray(n**cells)
     rank = 0
     while rank != -1:
         table = tuple(rows[rank // len(rows) ** (n - 1 - i) % len(rows)] for i in range(n))
-        flat, size = sum(table, ()), 0
-        for g, place in places:
+        flat, stab = sum(table, ()), []
+        for (g, h), place in places:
             image = sum(g[v] * w for v, w in zip(flat, place))
-            if not seen[image]:
-                seen[image] = 1
-                size += 1
-        yield table, size
+            seen[image] = 1
+            if image == rank:
+                stab.append((g, h))
+        yield table, stab
         rank = seen.find(0, rank + 1)
 
 
@@ -212,35 +204,14 @@ def census(order: int, up_to_iso: bool = False) -> Census:
     """Classify every candidate of the given order against all four laws."""
     if not 1 <= order <= 3:
         raise ValueError("census is exhaustive, order must be 1, 2, or 3")
-    # The raw count: the least table of each relabeling orbit against every
-    # alpha, each quad counted orbit-size times.  _scan draws the next table
-    # only after its last yield for this one, so `orbit` is the orbit in hand.
-    orbit = None
-
-    def least_tables():
-        nonlocal orbit
-        for orbit in _table_orbits(order):
-            yield orbit[0]
-
-    alphas = list(itertools.product(range(order), repeat=order))
+    # One pass over the least table of each orbit against every alpha.  A raw
+    # candidate counts n!/|Stab| times, once per table in its table's orbit;
+    # with up_to_iso the scan keeps the least member of each class, once.
+    group = math.factorial(order)
     quads = collections.Counter()
-    for _, _, quad in _scan(order, None, None, None, None, False, (least_tables(), alphas)):
-        quads[quad] += orbit[1]
-    if up_to_iso:
-        # Burnside: the count above is the identity's term; the first
-        # permutation is the identity, so the rest are the other terms.
-        for g in itertools.islice(itertools.permutations(range(order)), 1, None):
-            scan = _scan(order, None, None, None, None, False, _fixed_tables(order, g))
-            quads.update(map(operator.itemgetter(2), scan))
-        group = math.factorial(order)
-        for quad, fixed_sum in quads.items():
-            classes, rest = divmod(fixed_sum, group)
-            if rest:
-                raise RuntimeError(
-                    "Burnside sum %d for %s is not a multiple of %d"
-                    % (fixed_sum, quad, group)
-                )
-            quads[quad] = classes
+    scan = _scan(order, None, None, None, None, up_to_iso, _table_orbits(order))
+    for _, _, quad, stab in scan:
+        quads[quad] += 1 if up_to_iso else group // len(stab)
     counts = {q: 0 for q in itertools.product((False, True), repeat=4)}
     counts.update(quads)
     return Census(order, order ** (order * order + order), counts, up_to_iso)
@@ -268,4 +239,4 @@ def iter_matching(
     scan = _scan(
         order, hom_associative, associative, multiplicative, involutive_alpha, up_to_iso
     )
-    return (FiniteHomMagma(labels, mul, al) for mul, al, _ in scan)
+    return (FiniteHomMagma(labels, mul, al) for mul, al, _, _ in scan)

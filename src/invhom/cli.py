@@ -141,6 +141,8 @@ def _cmd_enum(args) -> int:
             raise _CliError(
                 2, "an order 4 scan is huge; give --filter and --limit"
             )
+    elif args.limit is not None and not args.filter:
+        raise _CliError(2, "--limit bounds the streamed tables; give --filter too")
     else:
         c = census(args.order, up_to_iso=args.up_to_iso)
         head = "order %d census: %d candidate%s" % (
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="require a law; repeatable, streams matching tables as JSON lines",
     )
     p.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
-    p.add_argument("--limit", type=int, help="stop after this many streamed tables")
+    p.add_argument("--limit", type=int, help="stop after this many streamed tables; needs --filter")
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("adjoin-zero", help="route alpha onto a zero element")

@@ -1,13 +1,12 @@
 import collections
-import importlib
 import itertools
+import math
 import operator
 
 import pytest
 
 from invhom.census import (
     Census,
-    _fixed_tables,
     _scan,
     _table_orbits,
     canonical_form,
@@ -16,9 +15,6 @@ from invhom.census import (
 )
 from invhom.cli import main
 from invhom.finite import FiniteHomMagma, classify, fixture, relabel
-
-# the package exports a function named census, which hides the module
-census_module = importlib.import_module("invhom.census")
 
 # frozen counts for order 2, keyed (hom, assoc, mult, invol)
 ORDER2_COUNTS = {
@@ -240,37 +236,39 @@ def test_enum_order_three_up_to_iso(capsys):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_burnside_counts_equal_the_brute_force_classes(order):
+def test_iso_census_equals_the_canonical_least_raw_candidates(order):
+    # neither canonical_form nor the unweighted raw scan uses a stabilizer
     brute = collections.Counter(
-        map(operator.itemgetter(2), _scan(order, None, None, None, None, True))
+        quad
+        for mul, al, quad, _ in _scan(order, None, None, None, None, False)
+        if (sum(mul, ()), al) == canonical_form(mul, al)
     )
     counts = census(order, up_to_iso=True).counts
     assert {q: k for q, k in counts.items() if k} == dict(brute)
 
 
-def test_fixed_tables_are_exactly_the_relabel_invariant_ones():
-    n = 3
-    rows = list(itertools.product(range(n), repeat=n))
-    muls = [
-        FiniteHomMagma("abc", mul, (0, 0, 0))
-        for mul in itertools.product(rows, repeat=n)
+@pytest.mark.parametrize(
+    "laws",
+    [
+        dict(hom_associative=True),
+        dict(hom_associative=True, multiplicative=True, involutive_alpha=True),
+        dict(hom_associative=True, associative=False),
+    ],
+)
+def test_order_three_iso_stream_is_the_canonical_part_of_the_raw_stream(laws):
+    raw = [(m.mul, m.alpha) for m in iter_matching(3, **laws)]
+    expected = [
+        (mul, al) for mul, al in raw if (sum(mul, ()), al) == canonical_form(mul, al)
     ]
-    alphas = [FiniteHomMagma("abc", ((0,) * n,) * n, al) for al in rows]
-    for g in itertools.permutations(range(n)):
-        fixed_muls, fixed_alphas = _fixed_tables(n, g)
-        assert sorted(fixed_muls) == [m.mul for m in muls if relabel(m, g).mul == m.mul]
-        assert sorted(fixed_alphas) == [
-            m.alpha for m in alphas if relabel(m, g).alpha == m.alpha
-        ]
-
-
-def test_burnside_remainder_fails_loudly(monkeypatch):
-    # one extra candidate in the swap's term leaves an odd sum in its bucket
-    monkeypatch.setattr(
-        census_module, "_fixed_tables", lambda n, g: ([((0, 0), (0, 0))], [(0, 0)])
-    )
-    with pytest.raises(RuntimeError, match="not a multiple of 2"):
-        census(2, up_to_iso=True)
+    stream = [(m.mul, m.alpha) for m in iter_matching(3, up_to_iso=True, **laws)]
+    assert stream == expected
+    names = ("hom_associative", "associative", "multiplicative", "involutive_alpha")
+    wanted = [laws.get(name) for name in names]
+    buckets = [
+        q for q in ORDER3_RAW if all(w is None or w == v for w, v in zip(wanted, q))
+    ]
+    assert len(raw) == sum(ORDER3_RAW[q] for q in buckets)
+    assert len(stream) == sum(ORDER3_ISO[q] for q in buckets)
 
 
 @pytest.mark.parametrize("order, orbits", [(1, 1), (2, 10), (3, 3330)])
@@ -278,7 +276,8 @@ def test_table_orbits_cover_every_table_once(order, orbits):
     # the orbit counts are the magmas up to isomorphism, OEIS A001329
     found = list(_table_orbits(order))
     assert len(found) == orbits
-    assert sum(size for _, size in found) == order ** (order * order)
+    group = math.factorial(order)
+    assert sum(group // len(stab) for _, stab in found) == order ** (order * order)
     tables = [table for table, _ in found]
     assert tables == sorted(tables)
 
@@ -286,11 +285,13 @@ def test_table_orbits_cover_every_table_once(order, orbits):
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_each_orbit_starts_at_its_least_relabel_image(order):
     labels, alpha = "abc"[:order], (0,) * order
-    for table, size in _table_orbits(order):
+    group = list(itertools.permutations(range(order)))
+    for table, stab in _table_orbits(order):
         m = FiniteHomMagma(labels, table, alpha)
-        images = {relabel(m, g).mul for g in itertools.permutations(range(order))}
+        images = {relabel(m, g).mul for g in group}
         assert min(images) == table
-        assert len(images) == size
+        assert [g for g, _ in stab] == [g for g in group if relabel(m, g).mul == table]
+        assert len(images) == len(group) // len(stab)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

@@ -343,6 +343,19 @@ def test_enum_order_4_needs_filter_and_limit(run):
     assert len(out.splitlines()) == 2
 
 
+def test_enum_limit_needs_a_filter(run):
+    refused = (2, "", "--limit bounds the streamed tables; give --filter too\n")
+    for order in ("1", "2", "3"):
+        assert run("enum", "--order", order, "--limit", "0") == refused
+        assert run("enum", "--order", order, "--limit", "5", "--up-to-iso") == refused
+    assert run("enum", "--order", "4", "--limit", "0") == (
+        2, "", "an order 4 scan is huge; give --filter and --limit\n"
+    )
+    code, out, _ = run("enum", "--order", "2", "--filter", "inv", "--limit", "0")
+    assert code == 0 and out.startswith("order 2 census: 64 candidates\n")
+    assert "{" not in out
+
+
 def test_enum_bad_order(run):
     code, _, err = run("enum", "--order", "0")
     assert code == 2
