@@ -20,6 +20,18 @@ Stab(mul), the relabelings that fix mul (orderly generation, after McKay).
 The class census counts those candidates in the same pass, and the stream
 yields them; at order 3 only 93 of the 3,330 least tables have more than
 the identity in their stabilizer.
+
+The stream of the paper's lawful structures (hom-associative,
+multiplicative, involutive alpha) does not walk every table.  A backtracking
+search in the manner of finite model finders (McCune, Mace4) fills the cells
+one at a time in scan order and keeps, per partial table, the involutions
+that no completed law instance has ruled out.  Each instance is checked once,
+when its last cell is filled: a hom-associativity triple whose data cells
+are still empty waits on a watch list at the later one (as in the Chaff SAT
+solver).  The search only prunes; its tables and surviving involutions go
+through the same scan loop and law kernel.  At order 4 it visits about
+180,000 partial tables instead of 4**16 tables, and yields all 4,428
+lawful candidates in about a second.
 """
 
 from __future__ import annotations
@@ -128,11 +140,16 @@ def _scan(
     Filters are three-valued as in iter_matching.  Laws run cheapest first
     (involution once per alpha, associativity once per product table, then
     hom-associativity and multiplicativity), so a rejected candidate costs as
-    little as possible.  ``tables`` yields (mul, stab) pairs, stab being
-    Stab(mul) for a least mul; by default it is every product table with
-    stab None.  With up_to_iso a candidate passes only if mul is least in
-    its orbit and alpha is least under Stab(mul).  A table whose stab is None
-    gets it from _stabilizer once, when its first alpha passes the laws.
+    little as possible.  ``tables`` yields (mul, stab, alphas) triples, stab
+    being Stab(mul) for a least mul and alphas the alpha tables to try on
+    mul, in order; by default it is every product table with stab and alphas
+    None, and None alphas means every alpha table.  The laws run on every
+    candidate whatever its source, so a source may only prune: the census
+    passes the least table of each orbit, and the lawful stream passes the
+    leaves of _lawful_tables with the involutions that survived its search.
+    With up_to_iso a candidate passes only if mul is least in its orbit and
+    alpha is least under Stab(mul).  A table whose stab is None gets it from
+    _stabilizer once, when its first alpha passes the laws.
     """
     want_hom, want_assoc, want_mult, want_invol = (
         (False, True) if law is None else (law,)
@@ -140,14 +157,18 @@ def _scan(
     )
     rows = list(itertools.product(range(n), repeat=n))
     if tables is None:
-        tables = ((mul, None) for mul in itertools.product(rows, repeat=n))
-    alphas = [(al, _invol_witness(al, n) is None) for al in rows]
-    alphas = [(al, invol) for al, invol in alphas if invol in want_invol]
-    for mul, stab in tables:
+        tables = ((mul, None, None) for mul in itertools.product(rows, repeat=n))
+
+    def allowed(alphas):
+        pairs = ((al, _invol_witness(al, n) is None) for al in alphas)
+        return [(al, invol) for al, invol in pairs if invol in want_invol]
+
+    every_alpha = allowed(rows)
+    for mul, stab, alphas in tables:
         assoc = _assoc_witness(mul, n) is None
         if assoc not in want_assoc:
             continue
-        for al, invol in alphas:
+        for al, invol in every_alpha if alphas is None else allowed(alphas):
             hom = _hom_witness(mul, al, n) is None
             if hom not in want_hom:
                 continue
@@ -166,6 +187,82 @@ def _scan(
                 ):
                     continue
             yield mul, al, (hom, assoc, mult, invol), stab
+
+
+def _lawful_tables(n) -> Iterator[Tuple[tuple, None, List[tuple]]]:
+    """Yield (mul, None, alphas) for each table some involution makes lawful.
+
+    A backtracking search fills the cells row-major, each value ascending,
+    so tables come in scan order.  Each node carries the involutions alpha,
+    in scan order, that no filled cell has ruled out; a node with none left
+    is pruned, and a leaf's survivors are exactly the alphas that make the
+    table hom-associative and multiplicative.  Every law instance is checked
+    once, at the cell that completes it:
+
+    - alpha(m_ij) = m_(ai)(aj) at the later of (i, j) and its partner
+      (ai, aj).  Alpha is an involution, so the partner's own pair is the
+      same equation.
+    - alpha(x)(yz) = (xy)alpha(z) at the later of its index cells (y, z) and
+      (x, y), which fix its data cells (ax, m_yz) and (m_xy, az).  If a data
+      cell is still empty the pair is put on a watch list at the later data
+      cell, and checked when the search fills it.
+    """
+    cells = n * n
+    # per involution: alpha, the mult partner of each cell if it is filled no
+    # later (else -1), the hom-associativity triples each cell completes as
+    # (n*ax, yz, xy, az), and each cell's watch list
+    involutions = []
+    for al in itertools.product(range(n), repeat=n):
+        if _invol_witness(al, n) is not None:
+            continue
+        partner = [al[p // n] * n + al[p % n] for p in range(cells)]
+        partner = [q if q <= p else -1 for p, q in enumerate(partner)]
+        fire = [[] for _ in range(cells)]
+        for x, y, z in itertools.product(range(n), repeat=3):
+            yz, xy = y * n + z, x * n + y
+            fire[max(yz, xy)].append((al[x] * n, yz, xy, al[z]))
+        involutions.append((al, partner, fire, [[] for _ in range(cells)]))
+    m = [0] * cells
+
+    def fill(p, live):
+        if p == cells:
+            mul = tuple(tuple(m[i : i + n]) for i in range(0, cells, n))
+            yield mul, None, [al for al, _, _, _ in live]
+            return
+        for v in range(n):
+            m[p] = v
+            kept = []
+            for rec in live:
+                al, partner, fire, watch = rec
+                q = partner[p]
+                if q >= 0 and al[v] != m[q]:
+                    continue
+                for d, e in watch[p]:
+                    if m[d] != m[e]:
+                        break
+                else:
+                    new = []
+                    for axn, yz, xy, az in fire[p]:
+                        d, e = axn + m[yz], m[xy] * n + az
+                        if d > p or e > p:
+                            new.append((d if d > e else e, d, e))
+                        elif m[d] != m[e]:
+                            break
+                    else:
+                        kept.append((rec, new))
+            if not kept:
+                continue
+            for rec, new in kept:
+                watch = rec[3]
+                for t, d, e in new:
+                    watch[t].append((d, e))
+            yield from fill(p + 1, [rec for rec, _ in kept])
+            for rec, new in kept:
+                watch = rec[3]
+                for t, _, _ in new:
+                    watch[t].pop()
+
+    return fill(0, involutions)
 
 
 def _table_orbits(n) -> Iterator[Tuple[tuple, List[Tuple[tuple, tuple]]]]:
@@ -209,7 +306,8 @@ def census(order: int, up_to_iso: bool = False) -> Census:
     # with up_to_iso the scan keeps the least member of each class, once.
     group = math.factorial(order)
     quads = collections.Counter()
-    scan = _scan(order, None, None, None, None, up_to_iso, _table_orbits(order))
+    tables = ((mul, stab, None) for mul, stab in _table_orbits(order))
+    scan = _scan(order, None, None, None, None, up_to_iso, tables)
     for _, _, quad, stab in scan:
         quads[quad] += 1 if up_to_iso else group // len(stab)
     counts = {q: 0 for q in itertools.product((False, True), repeat=4)}
@@ -229,14 +327,26 @@ def iter_matching(
 
     Law arguments are three-valued: True to require, False to forbid, None
     to ignore.  With up_to_iso only the least relabeling of each
-    isomorphism class is yielded.  Orders up to 4 are accepted, but an
-    unfiltered scan at order 4 is astronomically long; callers are expected
-    to bound it (the command line tool insists on a filter and a limit).
+    isomorphism class is yielded.  Orders up to 4 are accepted.  When
+    hom_associative, multiplicative and involutive_alpha are all required,
+    the paper's lawful structures, a backtracking search prunes the product
+    tables cell by cell, and the whole order-4 stream (4,428 structures, 276
+    classes) takes seconds.  Any other filter set walks every product table,
+    n**(n*n) of them, which at order 4 is astronomically long; callers are
+    expected to bound it (the command line tool insists on a filter and a
+    limit at order 4).
     """
     if not 1 <= order <= 4:
         raise ValueError("order must be between 1 and 4")
     labels = _LABELS[:order]
+    lawful = (hom_associative, multiplicative, involutive_alpha) == (True, True, True)
     scan = _scan(
-        order, hom_associative, associative, multiplicative, involutive_alpha, up_to_iso
+        order,
+        hom_associative,
+        associative,
+        multiplicative,
+        involutive_alpha,
+        up_to_iso,
+        _lawful_tables(order) if lawful else None,
     )
     return (FiniteHomMagma(labels, mul, al) for mul, al, _, _ in scan)

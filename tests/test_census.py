@@ -1,12 +1,15 @@
 import collections
 import itertools
+import json
 import math
 import operator
+from pathlib import Path
 
 import pytest
 
 from invhom.census import (
     Census,
+    _lawful_tables,
     _scan,
     _table_orbits,
     canonical_form,
@@ -14,7 +17,7 @@ from invhom.census import (
     iter_matching,
 )
 from invhom.cli import main
-from invhom.finite import FiniteHomMagma, classify, fixture, relabel
+from invhom.finite import FiniteHomMagma, classify, fixture, relabel, structure_to_dict
 
 # frozen counts for order 2, keyed (hom, assoc, mult, invol)
 ORDER2_COUNTS = {
@@ -301,3 +304,63 @@ def test_orbit_weighted_census_equals_the_brute_force_scan(order):
     )
     counts = census(order).counts
     assert {q: k for q, k in counts.items() if k} == dict(brute)
+
+
+LAWFUL = dict(hom_associative=True, multiplicative=True, involutive_alpha=True)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_lawful_search_leaves_are_exactly_the_lawful_candidates(order):
+    # the search alone, without the final law check in the scan loop
+    found = [(mul, al) for mul, _, alphas in _lawful_tables(order) for al in alphas]
+    walk = [(mul, al) for mul, al, _, _ in _scan(order, True, None, True, True, False)]
+    assert found == walk
+
+
+@pytest.mark.parametrize("up_to_iso", [False, True])
+@pytest.mark.parametrize("assoc", [None, True, False])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_lawful_stream_equals_the_table_walk_in_order(order, assoc, up_to_iso):
+    walk = _scan(order, True, assoc, True, True, up_to_iso)
+    expected = [(mul, al) for mul, al, _, _ in walk]
+    stream = iter_matching(order, associative=assoc, up_to_iso=up_to_iso, **LAWFUL)
+    assert [(m.mul, m.alpha) for m in stream] == expected
+    if order == 3:
+        # 140 raw candidates and 33 classes when assoc is None
+        frozen = ORDER3_ISO if up_to_iso else ORDER3_RAW
+        buckets = [(True, a, True, True) for a in (False, True) if assoc in (None, a)]
+        assert len(expected) == sum(frozen[q] for q in buckets)
+
+
+@pytest.fixture(scope="module")
+def order4_lawful():
+    return list(iter_matching(4, **LAWFUL))
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "census_golden.json"
+
+
+def test_order_four_lawful_stream_is_frozen(order4_lawful):
+    # the golden lines come from a brute-force walk that shares no code with
+    # the package
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["stream"]["4"]
+    lines = [
+        json.dumps(structure_to_dict(m), separators=(",", ":")) for m in order4_lawful[:100]
+    ]
+    assert lines == golden
+    assert len(order4_lawful) == 4428
+    assert sum(classify(m).associative for m in order4_lawful) == 3612
+    candidates = [(m.mul, m.alpha) for m in order4_lawful]
+    assert candidates == sorted(set(candidates))
+
+
+def test_order_four_iso_stream_is_the_canonical_part_of_the_raw_stream(order4_lawful):
+    # two routes to the classes: the stabilizer test against canonical_form
+    expected = [
+        (m.mul, m.alpha)
+        for m in order4_lawful
+        if (sum(m.mul, ()), m.alpha) == canonical_form(m.mul, m.alpha)
+    ]
+    stream = [(m.mul, m.alpha) for m in iter_matching(4, up_to_iso=True, **LAWFUL)]
+    assert stream == expected
+    assert len(stream) == 276

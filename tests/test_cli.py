@@ -356,6 +356,27 @@ def test_enum_limit_needs_a_filter(run):
     assert "{" not in out
 
 
+def test_enum_order_4_lawful_stream_is_exhaustive(run):
+    argv = ["enum", "--order", "4", "--filter", "hom", "--filter", "mult", "--filter", "inv"]
+    code, out, err = run(*argv, "--limit", "5000")
+    assert (code, err) == (0, "")
+    lines = out.splitlines(keepends=True)
+    assert len(lines) == 4428
+    # one letter per label, so text order is scan order
+    assert lines == sorted(set(lines))
+    for limit in (0, 1, 80):
+        assert run(*argv, "--limit", str(limit)) == (0, "".join(lines[:limit]), "")
+    code, out, err = run(*argv, "--limit", "5000", "--up-to-iso")
+    assert (code, err) == (0, "")
+    classes = out.splitlines(keepends=True)
+    assert len(classes) == 276
+    assert set(classes) <= set(lines)
+    assert run(*argv) == (2, "", "an order 4 scan is huge; give --filter and --limit\n")
+    assert run(*argv, "--limit", "-1", "--up-to-iso") == (
+        2, "", "--limit must not be negative\n"
+    )
+
+
 def test_enum_bad_order(run):
     code, _, err = run("enum", "--order", "0")
     assert code == 2
