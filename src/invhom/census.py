@@ -21,6 +21,11 @@ The class census counts those candidates in the same pass, and the stream
 yields them; at order 3 only 93 of the 3,330 least tables have more than
 the identity in their stabilizer.
 
+One orbit walk finds the least tables and their stabilizers for the
+census and every up_to_iso stream.  A table is least when none of its
+relabel images comes before it in scan order; the images that come after
+it are not least, and the walk skips them unrelabeled when it meets them.
+
 The stream of the paper's lawful structures (hom-associative,
 multiplicative, involutive alpha) does not walk every table.  A backtracking
 search in the manner of finite model finders (McCune, Mace4) fills the cells
@@ -52,19 +57,22 @@ Quad = Tuple[bool, bool, bool, bool]
 
 
 @functools.lru_cache(maxsize=None)
-def _relabelings(n) -> Tuple[Tuple[tuple, tuple], ...]:
-    """Each relabeling g of range(n), identity first, paired with its inverse.
+def _relabelings(n) -> Tuple[Tuple[tuple, tuple, tuple], ...]:
+    """Each relabeling g of range(n), identity first, as (g, inverse, place).
 
     Relabeling by g moves element i to g[i], so the image of a table has
     g[mul[h[p]][h[q]]] at cell (p, q) and the image of an alpha has
-    g[alpha[h[p]]] at p, where h is the inverse of g.
+    g[alpha[h[p]]] at p, where h is the inverse of g.  It moves cell
+    k = (i, j) to (g i, g j), so a table's image, read row-major as a
+    base-n number, is the sum of g[v] * place[k] over its values v.
     """
-    group = []
+    group, cells = [], n * n
     for g in itertools.permutations(range(n)):
         h = [0] * n
         for i, p in enumerate(g):
             h[p] = i
-        group.append((g, tuple(h)))
+        place = tuple(n ** (cells - 1 - g[k // n] * n - g[k % n]) for k in range(cells))
+        group.append((g, tuple(h), place))
     return tuple(group)
 
 
@@ -78,23 +86,8 @@ def canonical_form(mul, alpha) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """
     return min(
         (tuple(g[mul[i][j]] for i in h for j in h), tuple(g[alpha[i]] for i in h))
-        for g, h in _relabelings(len(alpha))
+        for g, h, _ in _relabelings(len(alpha))
     )
-
-
-def _stabilizer(mul) -> list:
-    """Stab(mul) as (g, inverse) pairs if mul is least in its orbit, else [].
-
-    The identity fixes every table, so a least table's list is never empty.
-    """
-    flat, stab = sum(mul, ()), []
-    for g, h in _relabelings(len(mul)):
-        image = tuple(g[mul[i][j]] for i in h for j in h)
-        if image < flat:
-            return []
-        if image == flat:
-            stab.append((g, h))
-    return stab
 
 
 @dataclass(frozen=True)
@@ -133,31 +126,25 @@ def _scan(
     multiplicative,
     involutive_alpha,
     up_to_iso,
-    tables=None,
+    tables,
 ) -> Iterator[Tuple[tuple, tuple, Quad, Optional[list]]]:
     """Yield (mul, alpha, quad, stab) for each candidate passing the filters.
 
     Filters are three-valued as in iter_matching.  Laws run cheapest first
     (involution once per alpha, associativity once per product table, then
     hom-associativity and multiplicativity), so a rejected candidate costs as
-    little as possible.  ``tables`` yields (mul, stab, alphas) triples, stab
-    being Stab(mul) for a least mul and alphas the alpha tables to try on
-    mul, in order; by default it is every product table with stab and alphas
-    None, and None alphas means every alpha table.  The laws run on every
-    candidate whatever its source, so a source may only prune: the census
-    passes the least table of each orbit, and the lawful stream passes the
-    leaves of _lawful_tables with the involutions that survived its search.
-    With up_to_iso a candidate passes only if mul is least in its orbit and
-    alpha is least under Stab(mul).  A table whose stab is None gets it from
-    _stabilizer once, when its first alpha passes the laws.
+    little as possible.  ``tables`` yields (mul, stab, alphas) triples in
+    scan order, alphas being the alpha tables to try on mul, in order, or
+    None for every alpha table.  The laws run on every candidate whatever
+    its source, so a source may only prune.  With up_to_iso the tables come
+    from the orbit walk _least, so stab is Stab(mul), and a candidate passes
+    only if alpha is least among its images under Stab(mul).
     """
     want_hom, want_assoc, want_mult, want_invol = (
         (False, True) if law is None else (law,)
         for law in (hom_associative, associative, multiplicative, involutive_alpha)
     )
     rows = list(itertools.product(range(n), repeat=n))
-    if tables is None:
-        tables = ((mul, None, None) for mul in itertools.product(rows, repeat=n))
 
     def allowed(alphas):
         pairs = ((al, _invol_witness(al, n) is None) for al in alphas)
@@ -175,29 +162,31 @@ def _scan(
             mult = _mult_witness(mul, al, n) is None
             if mult not in want_mult:
                 continue
-            if up_to_iso:
-                if stab is None:
-                    stab = _stabilizer(mul)
-                if not stab:
-                    break
-                # al must be least among its images under Stab(mul); a
-                # stabilizer that is only the identity, as most are, passes all.
-                if len(stab) > 1 and any(
-                    tuple(g[al[i]] for i in h) < al for g, h in stab
-                ):
-                    continue
+            # al must be least among its images under Stab(mul); a stabilizer
+            # that is only the identity, as most are, passes all.
+            if up_to_iso and len(stab) > 1 and any(
+                tuple(g[al[i]] for i in h) < al for g, h in stab
+            ):
+                continue
             yield mul, al, (hom, assoc, mult, invol), stab
 
 
-def _lawful_tables(n) -> Iterator[Tuple[tuple, None, List[tuple]]]:
-    """Yield (mul, None, alphas) for each table some involution makes lawful.
+def _every_table(n) -> Iterator[Tuple[int, tuple, None]]:
+    """Yield (rank, mul, None) for every product table, in scan order."""
+    tables = itertools.product(itertools.product(range(n), repeat=n), repeat=n)
+    return ((rank, mul, None) for rank, mul in enumerate(tables))
+
+
+def _lawful_tables(n) -> Iterator[Tuple[int, tuple, List[tuple]]]:
+    """Yield (rank, mul, alphas) for each table some involution makes lawful.
 
     A backtracking search fills the cells row-major, each value ascending,
-    so tables come in scan order.  Each node carries the involutions alpha,
-    in scan order, that no filled cell has ruled out; a node with none left
-    is pruned, and a leaf's survivors are exactly the alphas that make the
-    table hom-associative and multiplicative.  Every law instance is checked
-    once, at the cell that completes it:
+    so tables come in scan order.  Each node carries the rank of its filled
+    cells and the involutions alpha, in scan order, that no filled cell has
+    ruled out; a node with none left is pruned, and a leaf's survivors are
+    exactly the alphas that make the table hom-associative and
+    multiplicative.  Every law instance is checked once, at the cell that
+    completes it:
 
     - alpha(m_ij) = m_(ai)(aj) at the later of (i, j) and its partner
       (ai, aj).  Alpha is an involution, so the partner's own pair is the
@@ -224,10 +213,10 @@ def _lawful_tables(n) -> Iterator[Tuple[tuple, None, List[tuple]]]:
         involutions.append((al, partner, fire, [[] for _ in range(cells)]))
     m = [0] * cells
 
-    def fill(p, live):
+    def fill(p, live, rank):
         if p == cells:
             mul = tuple(tuple(m[i : i + n]) for i in range(0, cells, n))
-            yield mul, None, [al for al, _, _, _ in live]
+            yield rank, mul, [al for al, _, _, _ in live]
             return
         for v in range(n):
             m[p] = v
@@ -256,45 +245,47 @@ def _lawful_tables(n) -> Iterator[Tuple[tuple, None, List[tuple]]]:
                 watch = rec[3]
                 for t, d, e in new:
                     watch[t].append((d, e))
-            yield from fill(p + 1, [rec for rec, _ in kept])
+            yield from fill(p + 1, [rec for rec, _ in kept], rank * n + v)
             for rec, new in kept:
                 watch = rec[3]
                 for t, _, _ in new:
                     watch[t].pop()
 
-    return fill(0, involutions)
+    return fill(0, involutions, 0)
 
 
-def _table_orbits(n) -> Iterator[Tuple[tuple, List[Tuple[tuple, tuple]]]]:
-    """Yield (least table, its stabilizer) for each relabeling orbit of tables.
+def _least(tables) -> Iterator[Tuple[tuple, list, Optional[List[tuple]]]]:
+    """Yield (mul, Stab(mul), alphas) for each table least in its orbit.
 
-    The walk visits the product tables in scan order, so the first table it
-    meets in an orbit is the orbit's least one.  It then marks every relabel
-    image of that table in a bytearray indexed by row-major rank, which is
-    the table read as a base-n number.  The relabelings whose image is the
-    table itself, as (g, inverse) pairs, are its stabilizer, and the orbit
-    has n!/|Stab| tables.
+    ``tables`` yields (rank, mul, alphas) in scan order, rank being mul read
+    row-major as a base-n number.  A table is least in its orbit when none
+    of its relabel images has a smaller rank.  The relabelings whose image
+    is the table itself, as (g, inverse) pairs, are Stab(mul), and the orbit
+    has n!/|Stab| tables.  An image of larger rank is not least, since the
+    table is a smaller image of it, so the walk keeps its rank and skips it
+    unrelabeled when it comes.  On a source that holds every relabeling of
+    its tables, as every table and the lawful search's leaves do, only the
+    least tables get relabeled while the kept ranks fit the bound below.
     """
-    rows = list(itertools.product(range(n), repeat=n))
-    cells = n * n
-    # for each g, the place value of the cell (g i, g j) that relabeling by g
-    # moves cell k = (i, j) to
-    places = [
-        ((g, h), [n ** (cells - 1 - g[k // n] * n - g[k % n]) for k in range(cells)])
-        for g, h in _relabelings(n)
-    ]
-    seen = bytearray(n**cells)
-    rank = 0
-    while rank != -1:
-        table = tuple(rows[rank // len(rows) ** (n - 1 - i) % len(rows)] for i in range(n))
-        flat, stab = sum(table, ()), []
-        for (g, h), place in places:
+    skip = set()
+    for rank, mul, alphas in tables:
+        if rank in skip:
+            skip.remove(rank)
+            continue
+        flat, stab = sum(mul, ()), []
+        for g, h, place in _relabelings(len(mul)):
             image = sum(g[v] * w for v, w in zip(flat, place))
-            seen[image] = 1
+            if image < rank:
+                break
             if image == rank:
                 stab.append((g, h))
-        yield table, stab
-        rank = seen.find(0, rank + 1)
+            # a walk of every order-3 table keeps at most 9,310 ranks, but one
+            # of every order-4 table would keep millions; past the bound a
+            # table's own images decide
+            elif len(skip) < 1 << 14:
+                skip.add(image)
+        else:
+            yield mul, stab, alphas
 
 
 def census(order: int, up_to_iso: bool = False) -> Census:
@@ -306,7 +297,7 @@ def census(order: int, up_to_iso: bool = False) -> Census:
     # with up_to_iso the scan keeps the least member of each class, once.
     group = math.factorial(order)
     quads = collections.Counter()
-    tables = ((mul, stab, None) for mul, stab in _table_orbits(order))
+    tables = _least(_every_table(order))
     scan = _scan(order, None, None, None, None, up_to_iso, tables)
     for _, _, quad, stab in scan:
         quads[quad] += 1 if up_to_iso else group // len(stab)
@@ -340,6 +331,7 @@ def iter_matching(
         raise ValueError("order must be between 1 and 4")
     labels = _LABELS[:order]
     lawful = (hom_associative, multiplicative, involutive_alpha) == (True, True, True)
+    source = _lawful_tables(order) if lawful else _every_table(order)
     scan = _scan(
         order,
         hom_associative,
@@ -347,6 +339,6 @@ def iter_matching(
         multiplicative,
         involutive_alpha,
         up_to_iso,
-        _lawful_tables(order) if lawful else None,
+        _least(source) if up_to_iso else ((m, None, a) for _, m, a in source),
     )
     return (FiniteHomMagma(labels, mul, al) for mul, al, _, _ in scan)

@@ -1,17 +1,21 @@
 import collections
+import functools
+import importlib
 import itertools
 import json
 import math
 import operator
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from invhom.census import (
     Census,
+    _every_table,
     _lawful_tables,
+    _least,
     _scan,
-    _table_orbits,
     canonical_form,
     census,
     iter_matching,
@@ -179,6 +183,14 @@ def test_iso_and_raw_censuses_are_consistent():
         assert k <= raw.counts[quad] <= 2 * k
 
 
+def _walk(order, up_to_iso=False):
+    # every product table as _scan takes it, through the orbit walk for up_to_iso
+    source = _every_table(order)
+    if up_to_iso:
+        return _least(source)
+    return ((mul, None, alphas) for _, mul, alphas in source)
+
+
 def _order2_candidates():
     # scan order: product tables row-major, alpha tables innermost
     rows = list(itertools.product((0, 1), repeat=2))
@@ -243,7 +255,7 @@ def test_iso_census_equals_the_canonical_least_raw_candidates(order):
     # neither canonical_form nor the unweighted raw scan uses a stabilizer
     brute = collections.Counter(
         quad
-        for mul, al, quad, _ in _scan(order, None, None, None, None, False)
+        for mul, al, quad, _ in _scan(order, None, None, None, None, False, _walk(order))
         if (sum(mul, ()), al) == canonical_form(mul, al)
     )
     counts = census(order, up_to_iso=True).counts
@@ -274,14 +286,25 @@ def test_order_three_iso_stream_is_the_canonical_part_of_the_raw_stream(laws):
     assert len(stream) == sum(ORDER3_ISO[q] for q in buckets)
 
 
+def _count_relabelings(monkeypatch):
+    # one call per table the orbit walk relabels
+    module, calls = importlib.import_module("invhom.census"), []
+    real = module._relabelings
+    monkeypatch.setattr(module, "_relabelings", lambda n: calls.append(n) or real(n))
+    return calls
+
+
 @pytest.mark.parametrize("order, orbits", [(1, 1), (2, 10), (3, 3330)])
-def test_table_orbits_cover_every_table_once(order, orbits):
+def test_table_orbits_cover_every_table_once(order, orbits, monkeypatch):
     # the orbit counts are the magmas up to isomorphism, OEIS A001329
-    found = list(_table_orbits(order))
+    relabeled = _count_relabelings(monkeypatch)
+    found = list(_least(_every_table(order)))
     assert len(found) == orbits
+    # the walk skips every table that is not least without relabeling it
+    assert len(relabeled) == orbits
     group = math.factorial(order)
-    assert sum(group // len(stab) for _, stab in found) == order ** (order * order)
-    tables = [table for table, _ in found]
+    assert sum(group // len(stab) for _, stab, _ in found) == order ** (order * order)
+    tables = [table for table, _, _ in found]
     assert tables == sorted(tables)
 
 
@@ -289,7 +312,7 @@ def test_table_orbits_cover_every_table_once(order, orbits):
 def test_each_orbit_starts_at_its_least_relabel_image(order):
     labels, alpha = "abc"[:order], (0,) * order
     group = list(itertools.permutations(range(order)))
-    for table, stab in _table_orbits(order):
+    for table, stab, _ in _least(_every_table(order)):
         m = FiniteHomMagma(labels, table, alpha)
         images = {relabel(m, g).mul for g in group}
         assert min(images) == table
@@ -297,10 +320,51 @@ def test_each_orbit_starts_at_its_least_relabel_image(order):
         assert len(images) == len(group) // len(stab)
 
 
+@pytest.mark.parametrize("order, orbits", [(1, 1), (2, 7), (3, 32)])
+def test_orbit_walk_of_the_lawful_search_keeps_the_lawful_least_tables(
+    order, orbits, monkeypatch
+):
+    lawful = {mul for mul, _, _, _ in _scan(order, True, None, True, True, False, _walk(order))}
+    expected = [(mul, stab) for mul, stab, _ in _least(_every_table(order)) if mul in lawful]
+    relabeled = _count_relabelings(monkeypatch)
+    found = list(_least(_lawful_tables(order)))
+    assert [(mul, stab) for mul, stab, _ in found] == expected
+    assert len(found) == len(relabeled) == orbits
+    leaves = {mul: alphas for _, mul, alphas in _lawful_tables(order)}
+    assert all(alphas == leaves[mul] for mul, _, alphas in found)
+
+
+def test_orbit_walk_keeps_only_least_tables_of_a_source_missing_one():
+    # dropping a least table leaves the rest of its orbit in the source, and
+    # those tables are still not least
+    tables = list(_every_table(2))
+    least = [(mul, stab) for mul, stab, _ in _least(iter(tables))]
+    for i in range(len(tables)):
+        source = iter(tables[:i] + tables[i + 1 :])
+        found = [(mul, stab) for mul, stab, _ in _least(source)]
+        assert found == [(mul, stab) for mul, stab in least if mul != tables[i][1]]
+
+
+def test_orbit_walk_past_its_skip_bound_still_finds_the_least_tables():
+    # the first 2,000 order-4 tables have over 40,000 later relabel images;
+    # the walk keeps at most 2**14 of them, about a megabyte
+    tables = list(itertools.islice(_every_table(4), 2000))
+    tracemalloc.start()
+    try:
+        found = [mul for mul, _, _ in _least(iter(tables))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    zero = (0,) * 4
+    least = [mul for _, mul, _ in tables if canonical_form(mul, zero)[0] == sum(mul, ())]
+    assert found == least and len(least) == 1852
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_orbit_weighted_census_equals_the_brute_force_scan(order):
     brute = collections.Counter(
-        map(operator.itemgetter(2), _scan(order, None, None, None, None, False))
+        map(operator.itemgetter(2), _scan(order, None, None, None, None, False, _walk(order)))
     )
     counts = census(order).counts
     assert {q: k for q, k in counts.items() if k} == dict(brute)
@@ -312,16 +376,19 @@ LAWFUL = dict(hom_associative=True, multiplicative=True, involutive_alpha=True)
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_lawful_search_leaves_are_exactly_the_lawful_candidates(order):
     # the search alone, without the final law check in the scan loop
-    found = [(mul, al) for mul, _, alphas in _lawful_tables(order) for al in alphas]
-    walk = [(mul, al) for mul, al, _, _ in _scan(order, True, None, True, True, False)]
-    assert found == walk
+    leaves = list(_lawful_tables(order))
+    found = [(mul, al) for _, mul, alphas in leaves for al in alphas]
+    walk = _scan(order, True, None, True, True, False, _walk(order))
+    assert found == [(mul, al) for mul, al, _, _ in walk]
+    for rank, mul, _ in leaves:
+        assert rank == functools.reduce(lambda r, v: r * order + v, sum(mul, ()), 0)
 
 
 @pytest.mark.parametrize("up_to_iso", [False, True])
 @pytest.mark.parametrize("assoc", [None, True, False])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_lawful_stream_equals_the_table_walk_in_order(order, assoc, up_to_iso):
-    walk = _scan(order, True, assoc, True, True, up_to_iso)
+    walk = _scan(order, True, assoc, True, True, up_to_iso, _walk(order, up_to_iso))
     expected = [(mul, al) for mul, al, _, _ in walk]
     stream = iter_matching(order, associative=assoc, up_to_iso=up_to_iso, **LAWFUL)
     assert [(m.mul, m.alpha) for m in stream] == expected
