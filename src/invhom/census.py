@@ -7,24 +7,40 @@ scan loop serves both the census and the filtered stream, and it checks the
 laws with the index-level kernel from finite.py, the same code behind the
 check_* functions.
 
-Relabeling by g maps a candidate (mul, alpha) to (g.mul, g.alpha).  It keeps
-every law and maps the alphas one to one onto the alphas, so all product
-tables in one orbit of relabelings give the same counts of law quadruples
-over all alphas.  The raw census therefore scans one table per orbit, the
-least, against every alpha, and counts each quadruple n!/|Stab(mul)| times,
-the orbit's size: 3,330 tables instead of 19,683 at order 3.
+Relabeling by g maps a candidate (mul, alpha) to (g.mul, g.alpha), and
+keeps every law.  So does the opposite product, x o y = mul(y, x), with the
+same alpha:
 
-A candidate is the least member of its isomorphism class exactly when mul
-is the least table in its orbit and alpha is the least of its images under
-Stab(mul), the relabelings that fix mul (orderly generation, after McKay).
-The class census counts those candidates in the same pass, and the stream
-yields them; at order 3 only 93 of the 3,330 least tables have more than
-the identity in their stabilizer.
+- hom-associativity: alpha(x) o (y o z) = (zy)alpha(x) and
+  (x o y) o alpha(z) = alpha(z)(yx), the law for mul at (z, y, x);
+- associativity: x o (y o z) = (zy)x and (x o y) o z = z(yx), likewise;
+- multiplicativity: alpha(x o y) = alpha(yx) = alpha(y)alpha(x), which is
+  alpha(x) o alpha(y);
+- the involution law does not involve the product.
+
+Each of the 2n! symmetries, a relabeling with or without the opposite
+product, maps the alphas one to one onto the alphas, so all product tables
+in one orbit give the same counts of law quadruples over all alphas.  The
+raw census therefore scans one table per orbit, the least, against every
+alpha, and counts each quadruple 2n!/|Stab(mul)| times, the orbit's size:
+1,734 tables instead of 19,683 at order 3, where relabeling alone would
+leave 3,330.
+
+A candidate is the least member of its orbit exactly when mul is the least
+table in its orbit and alpha is the least of its images under Stab(mul),
+the symmetries that fix mul, the opposite of g acting on alphas as g does
+(orderly generation, after McKay).  Such an orbit is one isomorphism class
+when an opposite symmetry in Stab(mul) also fixes alpha, and two classes
+with the same laws otherwise, so the class census counts it once or twice
+in the same pass.  The up_to_iso stream walks the relabelings alone, as it
+yields the least member of each isomorphism class.  At order 3 only 178 of
+the 1,734 least tables have more than the identity in their stabilizer.
 
 One orbit walk finds the least tables and their stabilizers for the
-census and every up_to_iso stream.  A table is least when none of its
-relabel images comes before it in scan order; the images that come after
-it are not least, and the walk skips them unrelabeled when it meets them.
+census and every up_to_iso stream, under either group.  A table is least
+when none of its images comes before it in scan order; the images that come
+after it are not least, and the walk skips them unrelabeled when it meets
+them.
 
 The stream of the paper's lawful structures (hom-associative,
 multiplicative, involutive alpha) does not walk every table.  A backtracking
@@ -44,7 +60,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -56,24 +72,46 @@ _LABELS = ("a", "b", "c", "d")
 Quad = Tuple[bool, bool, bool, bool]
 
 
-@functools.lru_cache(maxsize=None)
-def _relabelings(n) -> Tuple[Tuple[tuple, tuple, tuple], ...]:
-    """Each relabeling g of range(n), identity first, as (g, inverse, place).
+def _symmetry(g, opposite) -> tuple:
+    """One symmetry of the candidates of order len(g).
 
-    Relabeling by g moves element i to g[i], so the image of a table has
-    g[mul[h[p]][h[q]]] at cell (p, q) and the image of an alpha has
-    g[alpha[h[p]]] at p, where h is the inverse of g.  It moves cell
-    k = (i, j) to (g i, g j), so a table's image, read row-major as a
-    base-n number, is the sum of g[v] * place[k] over its values v.
+    Returns (g, inverse, opposite, row, place).  Relabeling by g moves
+    element i to g[i], so the image of a table has g[mul[h[p]][h[q]]] at
+    cell (p, q) and the image of an alpha has g[alpha[h[p]]] at p, where h
+    is the inverse of g.  With opposite, the table is first replaced by its
+    opposite, mul(y, x) at (x, y), and the alpha is kept, so the opposite of
+    g acts on alphas as g does.
+
+    A table's image, read row-major as a base-n number, is the sum of
+    row[r] * place[i] over its rows i, r being the rank of row i read the
+    same way: n lookups instead of n*n.  Relabeling moves row i to row g[i]
+    and its value at j to column g[j]; the opposite product moves it to
+    column g[i] and row g[j], which swaps the two roles.
     """
-    group, cells = [], n * n
-    for g in itertools.permutations(range(n)):
-        h = [0] * n
-        for i, p in enumerate(g):
-            h[p] = i
-        place = tuple(n ** (cells - 1 - g[k // n] * n - g[k % n]) for k in range(cells))
-        group.append((g, tuple(h), place))
-    return tuple(group)
+    n = len(g)
+    h = [0] * n
+    for i, p in enumerate(g):
+        h[p] = i
+    column = [n ** (n - 1 - p) for p in g]
+    line = [n ** (n * (n - 1 - p)) for p in g]
+    if opposite:
+        column, line = line, column
+    rows = itertools.product(range(n), repeat=n)
+    row = tuple(sum(g[v] * w for v, w in zip(r, column)) for r in rows)
+    return g, tuple(h), opposite, row, tuple(line)
+
+
+@functools.lru_cache(maxsize=None)
+def _relabelings(n) -> Tuple[tuple, ...]:
+    """Each relabeling of range(n), identity first, as a _symmetry."""
+    return tuple(_symmetry(g, False) for g in itertools.permutations(range(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetries(n) -> Tuple[tuple, ...]:
+    """The relabelings of range(n), then each after the opposite product."""
+    opposites = (_symmetry(g, True) for g in itertools.permutations(range(n)))
+    return _relabelings(n) + tuple(opposites)
 
 
 def canonical_form(mul, alpha) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -86,7 +124,7 @@ def canonical_form(mul, alpha) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """
     return min(
         (tuple(g[mul[i][j]] for i in h for j in h), tuple(g[alpha[i]] for i in h))
-        for g, h, _ in _relabelings(len(alpha))
+        for g, h, *_ in _relabelings(len(alpha))
     )
 
 
@@ -165,7 +203,7 @@ def _scan(
             # al must be least among its images under Stab(mul); a stabilizer
             # that is only the identity, as most are, passes all.
             if up_to_iso and len(stab) > 1 and any(
-                tuple(g[al[i]] for i in h) < al for g, h in stab
+                tuple(g[al[i]] for i in h) < al for g, h, *_ in stab
             ):
                 continue
             yield mul, al, (hom, assoc, mult, invol), stab
@@ -254,34 +292,41 @@ def _lawful_tables(n) -> Iterator[Tuple[int, tuple, List[tuple]]]:
     return fill(0, involutions, 0)
 
 
-def _least(tables) -> Iterator[Tuple[tuple, list, Optional[List[tuple]]]]:
+def _least(tables, group) -> Iterator[Tuple[tuple, list, Optional[List[tuple]]]]:
     """Yield (mul, Stab(mul), alphas) for each table least in its orbit.
 
     ``tables`` yields (rank, mul, alphas) in scan order, rank being mul read
-    row-major as a base-n number.  A table is least in its orbit when none
-    of its relabel images has a smaller rank.  The relabelings whose image
-    is the table itself, as (g, inverse) pairs, are Stab(mul), and the orbit
-    has n!/|Stab| tables.  An image of larger rank is not least, since the
-    table is a smaller image of it, so the walk keeps its rank and skips it
-    unrelabeled when it comes.  On a source that holds every relabeling of
-    its tables, as every table and the lawful search's leaves do, only the
-    least tables get relabeled while the kept ranks fit the bound below.
+    row-major as a base-n number.  ``group`` holds the symmetries: the
+    relabelings for a stream, whose orbits are isomorphism classes, or
+    every symmetry from _symmetries for the census.  A table is least in its
+    orbit when none of its images has a smaller rank; each image takes one
+    lookup per row, through the row ranks and the symmetry's row table.  The
+    symmetries whose image is the table itself are Stab(mul), and the orbit
+    has |group|/|Stab| tables.
+    An image of larger rank is not least, since the table is a smaller image
+    of it, so the walk keeps its rank and skips it unrelabeled when it comes.
+    On a source that holds every image of its tables, as every table and the
+    lawful search's leaves do under relabeling, only the least tables get
+    relabeled while the kept ranks fit the bound below.
     """
+    n = len(group[0][0])
+    rank_of = {r: k for k, r in enumerate(itertools.product(range(n), repeat=n))}
     skip = set()
     for rank, mul, alphas in tables:
         if rank in skip:
             skip.remove(rank)
             continue
-        flat, stab = sum(mul, ()), []
-        for g, h, place in _relabelings(len(mul)):
-            image = sum(g[v] * w for v, w in zip(flat, place))
+        stab, ranks = [], [rank_of[r] for r in mul]
+        for s in group:
+            row, place = s[3], s[4]
+            image = sum(map(operator.mul, map(row.__getitem__, ranks), place))
             if image < rank:
                 break
             if image == rank:
-                stab.append((g, h))
-            # a walk of every order-3 table keeps at most 9,310 ranks, but one
-            # of every order-4 table would keep millions; past the bound a
-            # table's own images decide
+                stab.append(s)
+            # a walk of every order-3 table keeps at most 10,963 ranks under
+            # the census symmetries, but one of every order-4 table would keep
+            # millions; past the bound a table's own images decide
             elif len(skip) < 1 << 14:
                 skip.add(image)
         else:
@@ -289,18 +334,29 @@ def _least(tables) -> Iterator[Tuple[tuple, list, Optional[List[tuple]]]]:
 
 
 def census(order: int, up_to_iso: bool = False) -> Census:
-    """Classify every candidate of the given order against all four laws."""
+    """Classify every candidate of the given order against all four laws.
+
+    Every law is checked on the least product table of each orbit under
+    relabeling and the opposite product, 1,734 tables at order 3, against
+    every alpha, and each candidate found stands for its whole orbit.
+    """
     if not 1 <= order <= 3:
         raise ValueError("census is exhaustive, order must be 1, 2, or 3")
     # One pass over the least table of each orbit against every alpha.  A raw
-    # candidate counts n!/|Stab| times, once per table in its table's orbit;
-    # with up_to_iso the scan keeps the least member of each class, once.
-    group = math.factorial(order)
+    # candidate counts 2n!/|Stab| times, once per table in its table's orbit.
+    # With up_to_iso the scan keeps the least candidate of each orbit, which
+    # holds one isomorphism class if an opposite symmetry fixes it, else two.
+    group = _symmetries(order)
     quads = collections.Counter()
-    tables = _least(_every_table(order))
+    tables = _least(_every_table(order), group)
     scan = _scan(order, None, None, None, None, up_to_iso, tables)
-    for _, _, quad, stab in scan:
-        quads[quad] += 1 if up_to_iso else group // len(stab)
+    for _, al, quad, stab in scan:
+        if not up_to_iso:
+            quads[quad] += len(group) // len(stab)
+        elif any(opp and tuple(g[al[i]] for i in h) == al for g, h, opp, _, _ in stab):
+            quads[quad] += 1
+        else:
+            quads[quad] += 2
     counts = {q: 0 for q in itertools.product((False, True), repeat=4)}
     counts.update(quads)
     return Census(order, order ** (order * order + order), counts, up_to_iso)
@@ -339,6 +395,6 @@ def iter_matching(
         multiplicative,
         involutive_alpha,
         up_to_iso,
-        _least(source) if up_to_iso else ((m, None, a) for _, m, a in source),
+        _least(source, _relabelings(order)) if up_to_iso else ((m, None, a) for _, m, a in source),
     )
     return (FiniteHomMagma(labels, mul, al) for mul, al, _, _ in scan)

@@ -15,7 +15,9 @@ from invhom.census import (
     _every_table,
     _lawful_tables,
     _least,
+    _relabelings,
     _scan,
+    _symmetries,
     canonical_form,
     census,
     iter_matching,
@@ -184,10 +186,11 @@ def test_iso_and_raw_censuses_are_consistent():
 
 
 def _walk(order, up_to_iso=False):
-    # every product table as _scan takes it, through the orbit walk for up_to_iso
+    # every product table as _scan takes it, through the relabeling orbit walk
+    # for up_to_iso
     source = _every_table(order)
     if up_to_iso:
-        return _least(source)
+        return _least(source, _relabelings(order))
     return ((mul, None, alphas) for _, mul, alphas in source)
 
 
@@ -286,24 +289,24 @@ def test_order_three_iso_stream_is_the_canonical_part_of_the_raw_stream(laws):
     assert len(stream) == sum(ORDER3_ISO[q] for q in buckets)
 
 
-def _count_relabelings(monkeypatch):
-    # one call per table the orbit walk relabels
-    module, calls = importlib.import_module("invhom.census"), []
-    real = module._relabelings
-    monkeypatch.setattr(module, "_relabelings", lambda n: calls.append(n) or real(n))
-    return calls
+class _Counted(tuple):
+    # a symmetry group that counts the tables the orbit walk relabels with it
+    relabeled = 0
+
+    def __iter__(self):
+        self.relabeled += 1
+        return super().__iter__()
 
 
 @pytest.mark.parametrize("order, orbits", [(1, 1), (2, 10), (3, 3330)])
-def test_table_orbits_cover_every_table_once(order, orbits, monkeypatch):
+def test_table_orbits_cover_every_table_once(order, orbits):
     # the orbit counts are the magmas up to isomorphism, OEIS A001329
-    relabeled = _count_relabelings(monkeypatch)
-    found = list(_least(_every_table(order)))
+    group = _Counted(_relabelings(order))
+    found = list(_least(_every_table(order), group))
     assert len(found) == orbits
     # the walk skips every table that is not least without relabeling it
-    assert len(relabeled) == orbits
-    group = math.factorial(order)
-    assert sum(group // len(stab) for _, stab, _ in found) == order ** (order * order)
+    assert group.relabeled == orbits
+    assert sum(len(group) // len(stab) for _, stab, _ in found) == order ** (order * order)
     tables = [table for table, _, _ in found]
     assert tables == sorted(tables)
 
@@ -312,24 +315,22 @@ def test_table_orbits_cover_every_table_once(order, orbits, monkeypatch):
 def test_each_orbit_starts_at_its_least_relabel_image(order):
     labels, alpha = "abc"[:order], (0,) * order
     group = list(itertools.permutations(range(order)))
-    for table, stab, _ in _least(_every_table(order)):
+    for table, stab, _ in _least(_every_table(order), _relabelings(order)):
         m = FiniteHomMagma(labels, table, alpha)
         images = {relabel(m, g).mul for g in group}
         assert min(images) == table
-        assert [g for g, _ in stab] == [g for g in group if relabel(m, g).mul == table]
+        assert [g for g, *_ in stab] == [g for g in group if relabel(m, g).mul == table]
         assert len(images) == len(group) // len(stab)
 
 
 @pytest.mark.parametrize("order, orbits", [(1, 1), (2, 7), (3, 32)])
-def test_orbit_walk_of_the_lawful_search_keeps_the_lawful_least_tables(
-    order, orbits, monkeypatch
-):
+def test_orbit_walk_of_the_lawful_search_keeps_the_lawful_least_tables(order, orbits):
     lawful = {mul for mul, _, _, _ in _scan(order, True, None, True, True, False, _walk(order))}
-    expected = [(mul, stab) for mul, stab, _ in _least(_every_table(order)) if mul in lawful]
-    relabeled = _count_relabelings(monkeypatch)
-    found = list(_least(_lawful_tables(order)))
+    expected = [(mul, stab) for mul, stab, _ in _walk(order, True) if mul in lawful]
+    group = _Counted(_relabelings(order))
+    found = list(_least(_lawful_tables(order), group))
     assert [(mul, stab) for mul, stab, _ in found] == expected
-    assert len(found) == len(relabeled) == orbits
+    assert len(found) == group.relabeled == orbits
     leaves = {mul: alphas for _, mul, alphas in _lawful_tables(order)}
     assert all(alphas == leaves[mul] for mul, _, alphas in found)
 
@@ -338,10 +339,10 @@ def test_orbit_walk_keeps_only_least_tables_of_a_source_missing_one():
     # dropping a least table leaves the rest of its orbit in the source, and
     # those tables are still not least
     tables = list(_every_table(2))
-    least = [(mul, stab) for mul, stab, _ in _least(iter(tables))]
+    least = [(mul, stab) for mul, stab, _ in _least(iter(tables), _relabelings(2))]
     for i in range(len(tables)):
         source = iter(tables[:i] + tables[i + 1 :])
-        found = [(mul, stab) for mul, stab, _ in _least(source)]
+        found = [(mul, stab) for mul, stab, _ in _least(source, _relabelings(2))]
         assert found == [(mul, stab) for mul, stab in least if mul != tables[i][1]]
 
 
@@ -351,7 +352,7 @@ def test_orbit_walk_past_its_skip_bound_still_finds_the_least_tables():
     tables = list(itertools.islice(_every_table(4), 2000))
     tracemalloc.start()
     try:
-        found = [mul for mul, _, _ in _least(iter(tables))]
+        found = [mul for mul, _, _ in _least(iter(tables), _relabelings(4))]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -359,6 +360,76 @@ def test_orbit_walk_past_its_skip_bound_still_finds_the_least_tables():
     zero = (0,) * 4
     least = [mul for _, mul, _ in tables if canonical_form(mul, zero)[0] == sum(mul, ())]
     assert found == least and len(least) == 1852
+
+
+def _laws(mul, al):
+    r = classify(FiniteHomMagma("abc"[: len(al)], mul, al))
+    return r.hom_associative, r.associative, r.multiplicative, r.involutive_alpha
+
+
+def _opposite(mul):
+    # the opposite product, mul(y, x) at (x, y)
+    return tuple(zip(*mul))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_every_law_holds_exactly_when_it_holds_for_the_opposite_product(order):
+    # every candidate at orders 1 and 2; at order 3, every alpha on the least
+    # table of each orbit the census walks
+    if order < 3:
+        tables = [mul for _, mul, _ in _every_table(order)]
+    else:
+        tables = [mul for mul, _, _ in _least(_every_table(order), _symmetries(order))]
+        assert len(tables) == 1734
+    for mul in tables:
+        for al in itertools.product(range(order), repeat=order):
+            assert _laws(_opposite(mul), al) == _laws(mul, al), (mul, al)
+
+
+@pytest.mark.parametrize("order, orbits", [(1, 1), (2, 7), (3, 1734)])
+def test_census_walks_orbits_under_relabeling_and_the_opposite_product(
+    order, orbits, monkeypatch
+):
+    # the orbit counts are the magmas up to isomorphism and anti-isomorphism
+    group, labels, alpha = _Counted(_symmetries(order)), "abc"[:order], (0,) * order
+    assert len(group) == 2 * math.factorial(order)
+    found = list(_least(_every_table(order), group))
+    assert len(found) == group.relabeled == orbits
+    assert sum(len(group) // len(stab) for _, stab, _ in found) == order ** (order * order)
+    assert [table for table, _, _ in found] == sorted(table for table, _, _ in found)
+    for table, stab, _ in found:
+        # each image by definition: the opposite product if asked, then relabeling
+        images = [
+            relabel(FiniteHomMagma(labels, _opposite(table) if opp else table, alpha), g).mul
+            for g, _, opp, _, _ in group
+        ]
+        assert min(images) == table
+        assert stab == [s for s, image in zip(group, images) if image == table]
+    # the census walks this group, and relabels only the least tables
+    walked = []
+
+    def counted(n):
+        walked.append(_Counted(_symmetries(n)))
+        return walked[-1]
+
+    monkeypatch.setattr(importlib.import_module("invhom.census"), "_symmetries", counted)
+    census(order)
+    assert [each.relabeled for each in walked] == [orbits]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_census_equals_the_scan_of_the_relabeling_walk(order):
+    # the relabeling orbit walk weighs a raw candidate n!/|Stab| and keeps one
+    # candidate per isomorphism class, with no opposite product
+    raw, iso = collections.Counter(), collections.Counter()
+    for up_to_iso, quads in ((False, raw), (True, iso)):
+        scan = _scan(order, None, None, None, None, up_to_iso, _walk(order, True))
+        for _, _, quad, stab in scan:
+            quads[quad] += 1 if up_to_iso else math.factorial(order) // len(stab)
+        counts = census(order, up_to_iso=up_to_iso).counts
+        assert {q: k for q, k in counts.items() if k} == dict(quads)
+    if order == 3:
+        assert raw == ORDER3_RAW and dict(iso) == ORDER3_ISO
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
