@@ -38,9 +38,8 @@ the 1,734 least tables have more than the identity in their stabilizer.
 
 One orbit walk finds the least tables and their stabilizers for the
 census and every up_to_iso stream, under either group.  A table is least
-when none of its images comes before it in scan order; the images that come
-after it are not least, and the walk skips them unrelabeled when it meets
-them.
+when none of its images comes before it in scan order.  The walk decides
+each table from its own images and keeps nothing from one table to the next.
 
 The stream of the paper's lawful structures (hom-associative,
 multiplicative, involutive alpha) does not walk every table.  A backtracking
@@ -53,6 +52,11 @@ solver).  The search only prunes; its tables and surviving involutions go
 through the same scan loop and law kernel.  At order 4 it visits about
 180,000 partial tables instead of 4**16 tables, and yields all 4,428
 lawful candidates in about a second.
+
+The package binds the name invhom.census to the census function, which
+hides this module of the same name: ``import invhom.census as m`` gives the
+function.  Reach the module with ``from invhom.census import ...`` or
+``importlib.import_module("invhom.census")``.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -75,30 +78,25 @@ Quad = Tuple[bool, bool, bool, bool]
 def _symmetry(g, opposite) -> tuple:
     """One symmetry of the candidates of order len(g).
 
-    Returns (g, inverse, opposite, row, place).  Relabeling by g moves
-    element i to g[i], so the image of a table has g[mul[h[p]][h[q]]] at
-    cell (p, q) and the image of an alpha has g[alpha[h[p]]] at p, where h
-    is the inverse of g.  With opposite, the table is first replaced by its
+    Returns (g, inverse, opposite, image).  Relabeling by g moves element i
+    to g[i], so the image of a table has g[mul[h[p]][h[q]]] at cell (p, q)
+    and the image of an alpha has g[alpha[h[p]]] at p, where h is the
+    inverse of g.  With opposite, the table is first replaced by its
     opposite, mul(y, x) at (x, y), and the alpha is kept, so the opposite of
     g acts on alphas as g does.
 
-    A table's image, read row-major as a base-n number, is the sum of
-    row[r] * place[i] over its rows i, r being the rank of row i read the
-    same way: n lookups instead of n*n.  Relabeling moves row i to row g[i]
-    and its value at j to column g[j]; the opposite product moves it to
-    column g[i] and row g[j], which swaps the two roles.
+    ``image`` maps each n-tuple r to tuple(g[r[k]] for k in h).  It relabels
+    an alpha, image[alpha], and row p of a table's image is
+    image[source[h[p]]], where source is mul for a relabeling and its
+    columns, tuple(zip(*mul)), for an opposite symmetry.
     """
     n = len(g)
     h = [0] * n
     for i, p in enumerate(g):
         h[p] = i
-    column = [n ** (n - 1 - p) for p in g]
-    line = [n ** (n * (n - 1 - p)) for p in g]
-    if opposite:
-        column, line = line, column
+    h = tuple(h)
     rows = itertools.product(range(n), repeat=n)
-    row = tuple(sum(g[v] * w for v, w in zip(r, column)) for r in rows)
-    return g, tuple(h), opposite, row, tuple(line)
+    return g, h, opposite, {r: tuple(g[r[k]] for k in h) for r in rows}
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,29 +200,26 @@ def _scan(
                 continue
             # al must be least among its images under Stab(mul); a stabilizer
             # that is only the identity, as most are, passes all.
-            if up_to_iso and len(stab) > 1 and any(
-                tuple(g[al[i]] for i in h) < al for g, h, *_ in stab
-            ):
+            if up_to_iso and len(stab) > 1 and any(image[al] < al for *_, image in stab):
                 continue
             yield mul, al, (hom, assoc, mult, invol), stab
 
 
-def _every_table(n) -> Iterator[Tuple[int, tuple, None]]:
-    """Yield (rank, mul, None) for every product table, in scan order."""
+def _every_table(n) -> Iterator[Tuple[tuple, None]]:
+    """Yield (mul, None) for every product table, in scan order."""
     tables = itertools.product(itertools.product(range(n), repeat=n), repeat=n)
-    return ((rank, mul, None) for rank, mul in enumerate(tables))
+    return ((mul, None) for mul in tables)
 
 
-def _lawful_tables(n) -> Iterator[Tuple[int, tuple, List[tuple]]]:
-    """Yield (rank, mul, alphas) for each table some involution makes lawful.
+def _lawful_tables(n) -> Iterator[Tuple[tuple, List[tuple]]]:
+    """Yield (mul, alphas) for each table some involution makes lawful.
 
     A backtracking search fills the cells row-major, each value ascending,
-    so tables come in scan order.  Each node carries the rank of its filled
-    cells and the involutions alpha, in scan order, that no filled cell has
-    ruled out; a node with none left is pruned, and a leaf's survivors are
-    exactly the alphas that make the table hom-associative and
-    multiplicative.  Every law instance is checked once, at the cell that
-    completes it:
+    so tables come in scan order.  Each node carries the involutions alpha,
+    in scan order, that no filled cell has ruled out; a node with none left
+    is pruned, and a leaf's survivors are exactly the alphas that make the
+    table hom-associative and multiplicative.  Every law instance is checked
+    once, at the cell that completes it:
 
     - alpha(m_ij) = m_(ai)(aj) at the later of (i, j) and its partner
       (ai, aj).  Alpha is an involution, so the partner's own pair is the
@@ -251,10 +246,10 @@ def _lawful_tables(n) -> Iterator[Tuple[int, tuple, List[tuple]]]:
         involutions.append((al, partner, fire, [[] for _ in range(cells)]))
     m = [0] * cells
 
-    def fill(p, live, rank):
+    def fill(p, live):
         if p == cells:
             mul = tuple(tuple(m[i : i + n]) for i in range(0, cells, n))
-            yield rank, mul, [al for al, _, _, _ in live]
+            yield mul, [al for al, _, _, _ in live]
             return
         for v in range(n):
             m[p] = v
@@ -283,52 +278,46 @@ def _lawful_tables(n) -> Iterator[Tuple[int, tuple, List[tuple]]]:
                 watch = rec[3]
                 for t, d, e in new:
                     watch[t].append((d, e))
-            yield from fill(p + 1, [rec for rec, _ in kept], rank * n + v)
+            yield from fill(p + 1, [rec for rec, _ in kept])
             for rec, new in kept:
                 watch = rec[3]
                 for t, _, _ in new:
                     watch[t].pop()
 
-    return fill(0, involutions, 0)
+    return fill(0, involutions)
 
 
 def _least(tables, group) -> Iterator[Tuple[tuple, list, Optional[List[tuple]]]]:
     """Yield (mul, Stab(mul), alphas) for each table least in its orbit.
 
-    ``tables`` yields (rank, mul, alphas) in scan order, rank being mul read
-    row-major as a base-n number.  ``group`` holds the symmetries: the
-    relabelings for a stream, whose orbits are isomorphism classes, or
-    every symmetry from _symmetries for the census.  A table is least in its
-    orbit when none of its images has a smaller rank; each image takes one
-    lookup per row, through the row ranks and the symmetry's row table.  The
-    symmetries whose image is the table itself are Stab(mul), and the orbit
-    has |group|/|Stab| tables.
-    An image of larger rank is not least, since the table is a smaller image
-    of it, so the walk keeps its rank and skips it unrelabeled when it comes.
-    On a source that holds every image of its tables, as every table and the
-    lawful search's leaves do under relabeling, only the least tables get
-    relabeled while the kept ranks fit the bound below.
+    ``tables`` yields (mul, alphas) in scan order.  ``group`` holds the
+    symmetries, identity first: the relabelings for a stream, whose orbits
+    are isomorphism classes, or every symmetry from _symmetries for the
+    census.  A table is least in its orbit when none of its images comes
+    before it, and the symmetries whose image is the table itself are
+    Stab(mul); the orbit has |group|/|Stab| tables.  Each table is decided
+    from its own images alone.  Most images differ from the table in their
+    first row, one lookup; only an image that starts with the table's first
+    row is built in full.
     """
-    n = len(group[0][0])
-    rank_of = {r: k for k, r in enumerate(itertools.product(range(n), repeat=n))}
-    skip = set()
-    for rank, mul, alphas in tables:
-        if rank in skip:
-            skip.remove(rank)
-            continue
-        stab, ranks = [], [rank_of[r] for r in mul]
-        for s in group:
-            row, place = s[3], s[4]
-            image = sum(map(operator.mul, map(row.__getitem__, ranks), place))
-            if image < rank:
+    identity, others = group[0], group[1:]
+    for mul, alphas in tables:
+        stab, first, columns = [identity], mul[0], None
+        for s in others:
+            _, h, opp, image = s
+            if opp and columns is None:
+                columns = tuple(zip(*mul))
+            source = columns if opp else mul
+            row = image[source[h[0]]]
+            if row > first:
+                continue
+            if row < first:
                 break
-            if image == rank:
+            table = tuple(image[source[p]] for p in h)
+            if table < mul:
+                break
+            if table == mul:
                 stab.append(s)
-            # a walk of every order-3 table keeps at most 10,963 ranks under
-            # the census symmetries, but one of every order-4 table would keep
-            # millions; past the bound a table's own images decide
-            elif len(skip) < 1 << 14:
-                skip.add(image)
         else:
             yield mul, stab, alphas
 
@@ -353,7 +342,7 @@ def census(order: int, up_to_iso: bool = False) -> Census:
     for _, al, quad, stab in scan:
         if not up_to_iso:
             quads[quad] += len(group) // len(stab)
-        elif any(opp and tuple(g[al[i]] for i in h) == al for g, h, opp, _, _ in stab):
+        elif any(opp and image[al] == al for _, _, opp, image in stab):
             quads[quad] += 1
         else:
             quads[quad] += 2
@@ -395,6 +384,6 @@ def iter_matching(
         multiplicative,
         involutive_alpha,
         up_to_iso,
-        _least(source, _relabelings(order)) if up_to_iso else ((m, None, a) for _, m, a in source),
+        _least(source, _relabelings(order)) if up_to_iso else ((m, None, a) for m, a in source),
     )
     return (FiniteHomMagma(labels, mul, al) for mul, al, _, _ in scan)

@@ -1,5 +1,4 @@
 import collections
-import functools
 import importlib
 import itertools
 import json
@@ -191,7 +190,7 @@ def _walk(order, up_to_iso=False):
     source = _every_table(order)
     if up_to_iso:
         return _least(source, _relabelings(order))
-    return ((mul, None, alphas) for _, mul, alphas in source)
+    return ((mul, None, alphas) for mul, alphas in source)
 
 
 def _order2_candidates():
@@ -289,23 +288,12 @@ def test_order_three_iso_stream_is_the_canonical_part_of_the_raw_stream(laws):
     assert len(stream) == sum(ORDER3_ISO[q] for q in buckets)
 
 
-class _Counted(tuple):
-    # a symmetry group that counts the tables the orbit walk relabels with it
-    relabeled = 0
-
-    def __iter__(self):
-        self.relabeled += 1
-        return super().__iter__()
-
-
 @pytest.mark.parametrize("order, orbits", [(1, 1), (2, 10), (3, 3330)])
 def test_table_orbits_cover_every_table_once(order, orbits):
     # the orbit counts are the magmas up to isomorphism, OEIS A001329
-    group = _Counted(_relabelings(order))
+    group = _relabelings(order)
     found = list(_least(_every_table(order), group))
     assert len(found) == orbits
-    # the walk skips every table that is not least without relabeling it
-    assert group.relabeled == orbits
     assert sum(len(group) // len(stab) for _, stab, _ in found) == order ** (order * order)
     tables = [table for table, _, _ in found]
     assert tables == sorted(tables)
@@ -327,11 +315,10 @@ def test_each_orbit_starts_at_its_least_relabel_image(order):
 def test_orbit_walk_of_the_lawful_search_keeps_the_lawful_least_tables(order, orbits):
     lawful = {mul for mul, _, _, _ in _scan(order, True, None, True, True, False, _walk(order))}
     expected = [(mul, stab) for mul, stab, _ in _walk(order, True) if mul in lawful]
-    group = _Counted(_relabelings(order))
-    found = list(_least(_lawful_tables(order), group))
+    found = list(_least(_lawful_tables(order), _relabelings(order)))
     assert [(mul, stab) for mul, stab, _ in found] == expected
-    assert len(found) == group.relabeled == orbits
-    leaves = {mul: alphas for _, mul, alphas in _lawful_tables(order)}
+    assert len(found) == orbits
+    leaves = {mul: alphas for mul, alphas in _lawful_tables(order)}
     assert all(alphas == leaves[mul] for mul, _, alphas in found)
 
 
@@ -343,12 +330,12 @@ def test_orbit_walk_keeps_only_least_tables_of_a_source_missing_one():
     for i in range(len(tables)):
         source = iter(tables[:i] + tables[i + 1 :])
         found = [(mul, stab) for mul, stab, _ in _least(source, _relabelings(2))]
-        assert found == [(mul, stab) for mul, stab in least if mul != tables[i][1]]
+        assert found == [(mul, stab) for mul, stab in least if mul != tables[i][0]]
 
 
 def test_orbit_walk_past_its_skip_bound_still_finds_the_least_tables():
     # the first 2,000 order-4 tables have over 40,000 later relabel images;
-    # the walk keeps at most 2**14 of them, about a megabyte
+    # the walk keeps none of them from one table to the next
     tables = list(itertools.islice(_every_table(4), 2000))
     tracemalloc.start()
     try:
@@ -358,7 +345,7 @@ def test_orbit_walk_past_its_skip_bound_still_finds_the_least_tables():
         tracemalloc.stop()
     assert peak < 2 * 2**20
     zero = (0,) * 4
-    least = [mul for _, mul, _ in tables if canonical_form(mul, zero)[0] == sum(mul, ())]
+    least = [mul for mul, _ in tables if canonical_form(mul, zero)[0] == sum(mul, ())]
     assert found == least and len(least) == 1852
 
 
@@ -377,7 +364,7 @@ def test_every_law_holds_exactly_when_it_holds_for_the_opposite_product(order):
     # every candidate at orders 1 and 2; at order 3, every alpha on the least
     # table of each orbit the census walks
     if order < 3:
-        tables = [mul for _, mul, _ in _every_table(order)]
+        tables = [mul for mul, _ in _every_table(order)]
     else:
         tables = [mul for mul, _, _ in _least(_every_table(order), _symmetries(order))]
         assert len(tables) == 1734
@@ -391,30 +378,30 @@ def test_census_walks_orbits_under_relabeling_and_the_opposite_product(
     order, orbits, monkeypatch
 ):
     # the orbit counts are the magmas up to isomorphism and anti-isomorphism
-    group, labels, alpha = _Counted(_symmetries(order)), "abc"[:order], (0,) * order
+    group, labels, alpha = _symmetries(order), "abc"[:order], (0,) * order
     assert len(group) == 2 * math.factorial(order)
     found = list(_least(_every_table(order), group))
-    assert len(found) == group.relabeled == orbits
+    assert len(found) == orbits
     assert sum(len(group) // len(stab) for _, stab, _ in found) == order ** (order * order)
     assert [table for table, _, _ in found] == sorted(table for table, _, _ in found)
     for table, stab, _ in found:
         # each image by definition: the opposite product if asked, then relabeling
         images = [
             relabel(FiniteHomMagma(labels, _opposite(table) if opp else table, alpha), g).mul
-            for g, _, opp, _, _ in group
+            for g, _, opp, _ in group
         ]
         assert min(images) == table
         assert stab == [s for s, image in zip(group, images) if image == table]
-    # the census walks this group, and relabels only the least tables
+    # the census walks this group
     walked = []
 
-    def counted(n):
-        walked.append(_Counted(_symmetries(n)))
-        return walked[-1]
+    def recorded(n):
+        walked.append(n)
+        return _symmetries(n)
 
-    monkeypatch.setattr(importlib.import_module("invhom.census"), "_symmetries", counted)
+    monkeypatch.setattr(importlib.import_module("invhom.census"), "_symmetries", recorded)
     census(order)
-    assert [each.relabeled for each in walked] == [orbits]
+    assert walked == [order]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -448,11 +435,9 @@ LAWFUL = dict(hom_associative=True, multiplicative=True, involutive_alpha=True)
 def test_lawful_search_leaves_are_exactly_the_lawful_candidates(order):
     # the search alone, without the final law check in the scan loop
     leaves = list(_lawful_tables(order))
-    found = [(mul, al) for _, mul, alphas in leaves for al in alphas]
+    found = [(mul, al) for mul, alphas in leaves for al in alphas]
     walk = _scan(order, True, None, True, True, False, _walk(order))
     assert found == [(mul, al) for mul, al, _, _ in walk]
-    for rank, mul, _ in leaves:
-        assert rank == functools.reduce(lambda r, v: r * order + v, sum(mul, ()), 0)
 
 
 @pytest.mark.parametrize("up_to_iso", [False, True])
@@ -502,3 +487,39 @@ def test_order_four_iso_stream_is_the_canonical_part_of_the_raw_stream(order4_la
     stream = [(m.mul, m.alpha) for m in iter_matching(4, up_to_iso=True, **LAWFUL)]
     assert stream == expected
     assert len(stream) == 276
+
+
+def test_order_four_iso_stream_of_every_table_is_the_canonical_part_of_the_raw_stream():
+    # a filter set that walks every table: the first 100 classes against the
+    # raw stream up to the 100th of them
+    laws = dict(hom_associative=True, involutive_alpha=True)
+    raw, expected = 0, []
+    for m in iter_matching(4, **laws):
+        raw += 1
+        if (sum(m.mul, ()), m.alpha) == canonical_form(m.mul, m.alpha):
+            expected.append((m.mul, m.alpha))
+            if len(expected) == 100:
+                break
+    stream = itertools.islice(iter_matching(4, up_to_iso=True, **laws), 100)
+    assert [(m.mul, m.alpha) for m in stream] == expected
+    assert raw == 178
+    # 7 of their 22 tables are fixed by more than the identity, so the
+    # stabilizer test on the alphas runs
+    group, alpha = list(itertools.permutations(range(4))), (0,) * 4
+    tables = {mul for mul, _ in expected}
+    fixed = [
+        mul
+        for mul in tables
+        if sum(relabel(FiniteHomMagma("abcd", mul, alpha), g).mul == mul for g in group) > 1
+    ]
+    assert (len(tables), len(fixed)) == (22, 7)
+
+
+def test_invhom_census_is_the_function_and_the_module_has_two_routes():
+    # the package attribute hides the submodule of the same name
+    import invhom
+    import invhom.census as bound
+
+    module = importlib.import_module("invhom.census")
+    assert bound is invhom.census is census is module.census
+    assert module.__name__ == "invhom.census" and module._least is _least

@@ -259,6 +259,39 @@ def test_hom_associativity(u, v, w):
     )
 
 
+def _masks(longest):
+    # c_1 = 0 and c_(k+1) = 1 followed by the complement of c_k
+    masks = ["0"]
+    while len(masks) < longest:
+        masks.append("1" + masks[-1].translate(str.maketrans("01", "10")))
+    return masks
+
+
+MASKS = _masks(7)
+
+
+def _phi(w):
+    # XOR each letter's mark with the mask of the word's length
+    mask = MASKS[len(w) - 1]
+    return Word(tuple(Letter(l.name, l.bit ^ int(c)) for l, c in zip(w.letters, mask)))
+
+
+def test_products_are_the_twist_of_concatenation_by_the_mask():
+    # a third oracle, sharing no loop with diamond or diamond_closed: the
+    # words are the Yau twist of plain concatenation with every mark flipped
+    assert MASKS[:5] == ["0", "11", "100", "1011", "10100"]
+    masked = {w: _phi(w) for w in iter_words(["x", "y"], 7)}
+    short = [w for w in masked if len(w) <= 5]
+    pairs = 0
+    for u in short:
+        assert alpha_word(u) == masked[alpha_word(masked[u])]
+        for v in short:
+            if len(u) + len(v) <= 7:
+                assert diamond(u, v) == masked[alpha_word(concat(masked[u], masked[v]))]
+                pairs += 1
+    assert pairs == 91024
+
+
 def test_words_are_not_associative_under_the_product():
     x, y, z = embed("x"), embed("y"), embed("z")
     assert diamond(diamond(x, y), z) == parse_word("[x] y [z]")
