@@ -17,10 +17,11 @@ an explicit dot, as in "3/2 . x", and stay ints unless they have a
 denominator.  The name 'A' is reserved for the involution; a generator that
 wants the letter can use A_.  '(' and 'A(' nest to any depth.
 
-One walk over the tree, on an explicit stack, both evaluates and renders.
-The value stays a word while only words, 'A', and '*' are involved.  Each
-maximal run of '+', '-', and scalars is one step of the walk, one linear
-combination in the span, so a sum of any shape costs linear time.
+Every pass over a tree keeps an explicit stack, so none recurses on depth.
+A post-order walk evaluates: the value stays a word while only words, 'A',
+and '*' are involved, and each maximal run of '+', '-', and scalars is one
+step, one linear combination in the span, so a sum of any shape costs linear
+time.  One pre-order pass gives the pieces of the text, repr, == and hash.
 """
 
 from __future__ import annotations
@@ -85,18 +86,18 @@ def tokenize(text: str) -> List[Token]:
 # ---------------------------------------------------------------- syntax tree
 
 class _Node:
-    """``==``, ``hash`` and ``repr`` from one walk over the tree, so they work
-    at any depth: all three read the pieces of the dataclass text."""
+    """``==``, ``hash`` and ``repr`` read the pieces of the dataclass text from
+    one pre-order pass, so any depth works; words and coefficients stay objects."""
 
     def __eq__(self, other):
         same = other.__class__ is self.__class__
-        return _pieces(self, _repr) == _pieces(other, _repr) if same else NotImplemented
+        return _pieces(self, _REPRS) == _pieces(other, _REPRS) if same else NotImplemented
 
     def __hash__(self):
-        return hash(tuple(_pieces(self, _repr)))
+        return hash(tuple(_pieces(self, _REPRS)))
 
     def __repr__(self):
-        return "".join(p if isinstance(p, str) else repr(p) for p in _pieces(self, _repr))
+        return "".join(p if isinstance(p, str) else repr(p) for p in _pieces(self, _REPRS))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -143,6 +144,7 @@ _LINEAR = (Add, Sub, Neg, Scaled)  # the nodes of a run: sums and scalar multipl
 
 _RESERVED = "'A' is reserved for the involution; name the generator A_ instead"
 _TOO_LONG = "a coefficient has more than %d digits"  # of sys.get_int_max_str_digits()
+_THEN = object()  # on _pieces' stack, above the text after a subtree: a 1-tuple field is no text
 
 
 class _Parser:
@@ -308,23 +310,24 @@ def _run(node: Node) -> List[Tuple[Scalar, Node]]:
     return out
 
 
-def _pieces(node: Node, visit: Callable[..., list]) -> list:
-    """The leaves, in order, of the nested lists that _walk returns with
-    visit.  Flattening once, at the end, keeps a deep tree linear."""
-    out, stack = [], [_walk(node, _children, visit)]
+def _pieces(node: Node, formats: dict) -> list:
+    """formats[type(n)] around the fields of every node n, in pre-order on one
+    explicit stack: the leaf, a word or a coefficient and always the first
+    field, as the object itself, and each subtree expanded in place."""
+    out, stack = [], [node]
     while stack:
-        piece = stack.pop()
-        if isinstance(piece, list):
-            stack.extend(reversed(piece))
-        else:
-            out.append(piece)
+        n = stack.pop()
+        if n is _THEN:  # the text after a subtree, pushed below the marker
+            out.append(stack.pop())
+            continue
+        kids, texts = _children(n), formats[type(n)]
+        if len(texts) > len(kids) + 1:
+            out += texts[0], n.word if isinstance(n, WordLit) else n.coeff
+            texts = texts[1:]
+        out.append(texts[0])
+        for kid, text in zip(reversed(kids), reversed(texts[1:])):
+            stack += text, _THEN, kid
     return out
-
-
-def _fill(fmt: str, parts: tuple) -> list:
-    """fmt split at its %s slots, with parts in between."""
-    pieces = fmt.split("%s")
-    return [piece for pair in zip(pieces, parts + ("",)) for piece in pair]
 
 
 def _lift(v: Union[Word, AlgebraElement]) -> AlgebraElement:
@@ -376,38 +379,33 @@ def eval_algebra(text: str) -> AlgebraElement:
     return algebra_value(parse_expression(text))
 
 
-_FORMATS = {
-    Alpha: "A(%s)",
-    Diamond: "(%s * %s)",
-    Add: "(%s + %s)",
-    Sub: "(%s - %s)",
-    Neg: "(-%s)",
-    Scaled: "(%s . %s)",
+_FORMATS = {  # render_expr's text around each node's fields, split at the slots
+    c: fmt.split("%s") for c, fmt in {
+        WordLit: "%s",  # _text adds the parentheses of a longer word
+        Alpha: "A(%s)",
+        Diamond: "(%s * %s)",
+        Add: "(%s + %s)",
+        Sub: "(%s - %s)",
+        Neg: "(-%s)",
+        Scaled: "(%s . %s)",
+    }.items()
+}
+
+_REPRS = {  # the dataclass text, as ["Diamond(left=", ", right=", ")"]
+    c: ("%s(%s)" % (c.__qualname__, ", ".join(f.name + "=%s" for f in fields(c)))).split("%s")
+    for c in _FORMATS
 }
 
 
-def _text(node: Node, *parts) -> Union[str, list]:
-    if isinstance(node, WordLit):
-        text = str(node.word)
-        return text if len(node.word) == 1 else "(%s)" % text
-    if isinstance(node, Scaled):
-        try:
-            parts = (str(node.coeff),) + parts
-        except ValueError:  # over sys.get_int_max_str_digits() digits
-            raise ValueError(_TOO_LONG % sys.get_int_max_str_digits()) from None
-    return _fill(_FORMATS[type(node)], parts)
-
-
-_REPRS = {  # the dataclass text, as "Diamond(left=%s, right=%s)"
-    c: "%s(%s)" % (c.__qualname__, ", ".join(f.name + "=%s" for f in fields(c)))
-    for c in (WordLit, *_FORMATS)
-}
-
-
-def _repr(node: Node, *parts) -> list:
-    if isinstance(node, (WordLit, Scaled)):  # the word or coefficient itself
-        parts = (node.word if isinstance(node, WordLit) else node.coeff,) + parts
-    return _fill(_REPRS[type(node)], parts)
+def _text(piece) -> str:
+    if isinstance(piece, str):
+        return piece
+    if isinstance(piece, Word):
+        return str(piece) if len(piece) == 1 else "(%s)" % piece
+    try:
+        return str(piece)
+    except ValueError:  # over sys.get_int_max_str_digits() digits
+        raise ValueError(_TOO_LONG % sys.get_int_max_str_digits()) from None
 
 
 def render_expr(node: Node) -> str:
@@ -416,7 +414,7 @@ def render_expr(node: Node) -> str:
     int or Fraction coefficients and no generator named A.  A coefficient with
     more than sys.get_int_max_str_digits() digits, which the parser never
     builds, is a ValueError that names the limit."""
-    return "".join(_pieces(node, _text))
+    return "".join(map(_text, _pieces(node, _FORMATS)))
 
 
 def generator_expression(w: Word) -> str:

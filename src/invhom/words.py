@@ -7,6 +7,18 @@ concatenates when the left factor is a single letter and otherwise recurses
 with a bit flip.  Together these make the set of words a free involutive
 Hom-semigroup on the generator names.
 
+It is a twist of a free semigroup.  Let the mask c_1 be 0 and c_(k+1) be 1
+followed by the complement of c_k (0, 11, 100, 1011, ...), let Phi XOR a
+word's marks with the mask of its length, and let sigma flip every mark.
+Then ``diamond(u, v) == Phi(sigma(Phi(u) + Phi(v)))``, with ``+`` plain
+concatenation, and ``alpha_word(w) == Phi(sigma(Phi(w)))``.  So through Phi,
+its own inverse, (words, diamond, alpha_word) is the Yau twist
+(sigma . concatenation, sigma) of the free semigroup on X x {0, 1} by the
+mark swap.  The tests check it as a product oracle
+(test_products_are_the_twist_of_concatenation_by_the_mask) and as an
+``extend`` oracle with no fold, on every order-4 lawful class
+(test_extend_is_the_twisted_product_of_the_masked_images).
+
 A ``Word`` is packed: a tuple of ``names`` plus one int of ``bits``, the
 last letter at bit 0.  The involution is an XOR with ``(1 << len) - 1``, and
 the closed-form product a tuple concat plus a shift and an OR.  Names are

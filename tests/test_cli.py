@@ -422,9 +422,9 @@ def test_usage_errors(run):
 
 
 def test_closed_stdout_is_a_quiet_exit():
-    src = Path(__file__).resolve().parent.parent / "src"
+    root = Path(__file__).resolve().parent.parent
     cli = [sys.executable, "-m", "invhom.cli"]
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
         cli + ["enum", "--order", "4", "--filter", "inv", "--limit", "100000"],
@@ -439,13 +439,17 @@ def test_closed_stdout_is_a_quiet_exit():
     assert err == b""
     # a reader gone before the first write, with stdout buffered or not
     for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
-        for argv in (["prod", "x * y"], ["--help"]):
+        for command in (
+            cli + ["prod", "x * y"],
+            cli + ["--help"],
+            [sys.executable, "tools/bench_pairs.py", "summary", "BENCH_17.json"],
+        ):
             read_end, write_end = os.pipe()
             os.close(read_end)
             try:
                 done = subprocess.run(
-                    cli + argv, stdout=write_end, stderr=subprocess.PIPE,
-                    env={**env, **unbuffered}, timeout=60,
+                    command, stdout=write_end, stderr=subprocess.PIPE,
+                    env={**env, **unbuffered}, cwd=root, timeout=60,
                 )
             finally:
                 os.close(write_end)

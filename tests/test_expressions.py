@@ -25,6 +25,7 @@ from invhom.expressions import (
     generator_expression,
     parse_expression,
     render_expr,
+    word_value,
 )
 from invhom.words import Letter, Word, diamond, parse_word
 
@@ -189,9 +190,22 @@ def test_stray_operator():
 def test_render_is_fully_parenthesized():
     node = parse_expression("x * y * z + 2 . [w]")
     assert render_expr(node) == "(((x * y) * z) + (2 . [w]))"
-    for walk in (render_expr, evaluate):
-        with pytest.raises(TypeError, match="not an expression node"):
-            walk("x")
+    x = WordLit(w("x"))
+    functions = (render_expr, evaluate, word_value)
+    methods = (repr, hash, lambda n: n == Alpha(x), lambda n: Alpha(x) == n)
+    # anything that is not a node, at the root or below it, is a TypeError
+    for walk, tree in [(f, "y") for f in functions] + [
+        (f, Alpha(Add(x, "y"))) for f in functions + methods
+    ]:
+        with pytest.raises(TypeError, match="^not an expression node: 'y'$"):
+            walk(tree)
+    # equality and hash read the coefficient itself, never its digits
+    big = Alpha(Scaled(10**5000, x))
+    assert big == Alpha(Scaled(10**5000, WordLit(w("x"))))
+    assert hash(big) == hash(Alpha(Scaled(10**5000, WordLit(w("x")))))
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match="^a coefficient has more than %d digits$" % limit):
+        render_expr(big)
 
 
 def test_right_nested_sums_equal_their_left_nested_values():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invhom import universal
+from invhom.census import iter_matching
 from invhom.finite import FiniteHomMagma, adjoin_zero, fixture
 from invhom.universal import (
     GeneratorAssignment,
@@ -12,7 +13,7 @@ from invhom.universal import (
     verify_morphism,
     verify_uniqueness,
 )
-from invhom.words import Letter, Word, alpha_word, diamond, parse_word
+from invhom.words import Letter, Word, alpha_word, diamond, iter_words, parse_word
 
 
 def swap_assignment(**mapping):
@@ -102,6 +103,35 @@ def test_extension_is_a_morphism(u, v):
     m = f.target
     assert extend(f, diamond(u, v)) == m.mul[extend(f, u)][extend(f, v)]
     assert extend(f, alpha_word(u)) == m.alpha[extend(f, u)]
+
+
+def test_extend_is_the_twisted_product_of_the_masked_images():
+    # an oracle with no fold: the words are the Yau twist of concatenation by
+    # the mask (words.py), and on a lawful target mu = alpha . mul is
+    # associative, so extend(w) is the mu-product of alpha^(bit xor c)(image)
+    # over the letters of w, c the mask of its length, in any bracketing
+    masks = ["0"]  # c_1 = 0 and c_(k+1) = 1 followed by the complement of c_k
+    while len(masks) < 4:
+        masks.append("1" + masks[-1].translate(str.maketrans("01", "10")))
+    words = list(iter_words(["x", "y"], 4))
+    plans = [  # (generator, whether alpha applies) per letter
+        [(l.name, l.bit != int(c)) for l, c in zip(w.letters, masks[len(w) - 1])]
+        for w in words
+    ]
+    lawful = dict(hom_associative=True, multiplicative=True, involutive_alpha=True)
+    targets = list(iter_matching(4, up_to_iso=True, **lawful))
+    assert (len(targets), len(words)) == (276, 340)
+    rng = random.Random(2)
+    for m in targets:
+        mu = [[m.alpha[p] for p in row] for row in m.mul]
+        for mapping in ({"x": 0, "y": 3}, {"x": 3, "y": 1}):
+            f = GeneratorAssignment(m, mapping)
+            for w, plan in zip(words, plans):
+                factors = [m.alpha[mapping[n]] if twist else mapping[n] for n, twist in plan]
+                while len(factors) > 1:  # multiply a random adjacent pair
+                    k = rng.randrange(len(factors) - 1)
+                    factors[k:k + 2] = [mu[factors[k]][factors[k + 1]]]
+                assert extend(f, w) == factors[0]
 
 
 # ---------------------------------------------------------------- verifiers

@@ -16,6 +16,7 @@ Standard library only.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -82,7 +83,15 @@ def main():
     p.add_argument("file")
     p.set_defaults(func=summary)
     args = parser.parse_args()
-    args.func(args)
+    try:
+        args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at devnull so that the
+        # interpreter's final flush finds an open file and stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":
