@@ -97,7 +97,10 @@ class _Node:
         return hash(tuple(_pieces(self, _REPRS)))
 
     def __repr__(self):
-        return "".join(p if isinstance(p, str) else repr(p) for p in _pieces(self, _REPRS))
+        try:
+            return "".join(p if isinstance(p, str) else repr(p) for p in _pieces(self, _REPRS))
+        except ValueError:  # a coefficient over sys.get_int_max_str_digits() digits
+            raise ValueError(_TOO_LONG % sys.get_int_max_str_digits()) from None
 
 
 @dataclass(frozen=True, eq=False, repr=False)

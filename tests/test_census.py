@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import operator
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -13,16 +14,19 @@ from invhom.census import (
     Census,
     _every_table,
     _lawful_tables,
+    _commuting,
     _least,
     _relabelings,
     _scan,
     _symmetries,
+    _undecided,
     canonical_form,
     census,
     iter_matching,
 )
 from invhom.cli import main
 from invhom.finite import FiniteHomMagma, classify, fixture, relabel, structure_to_dict
+from invhom.finite import _hom_witness, _mult_witness
 
 # frozen counts for order 2, keyed (hom, assoc, mult, invol)
 ORDER2_COUNTS = {
@@ -193,6 +197,11 @@ def _walk(order, up_to_iso=False):
     return ((mul, None, alphas) for mul, alphas in source)
 
 
+def _candidates(scan):
+    # the candidates of _scan's records, one per table, as (mul, alpha, quad, stab)
+    return ((mul, al, quad, stab) for mul, stab, _, _, passed in scan for al, quad in passed)
+
+
 def _order2_candidates():
     # scan order: product tables row-major, alpha tables innermost
     rows = list(itertools.product((0, 1), repeat=2))
@@ -257,7 +266,9 @@ def test_iso_census_equals_the_canonical_least_raw_candidates(order):
     # neither canonical_form nor the unweighted raw scan uses a stabilizer
     brute = collections.Counter(
         quad
-        for mul, al, quad, _ in _scan(order, None, None, None, None, False, _walk(order))
+        for mul, al, quad, _ in _candidates(
+            _scan(order, None, None, None, None, False, _walk(order))
+        )
         if (sum(mul, ()), al) == canonical_form(mul, al)
     )
     counts = census(order, up_to_iso=True).counts
@@ -313,7 +324,8 @@ def test_each_orbit_starts_at_its_least_relabel_image(order):
 
 @pytest.mark.parametrize("order, orbits", [(1, 1), (2, 7), (3, 32)])
 def test_orbit_walk_of_the_lawful_search_keeps_the_lawful_least_tables(order, orbits):
-    lawful = {mul for mul, _, _, _ in _scan(order, True, None, True, True, False, _walk(order))}
+    scan = _candidates(_scan(order, True, None, True, True, False, _walk(order)))
+    lawful = {mul for mul, _, _, _ in scan}
     expected = [(mul, stab) for mul, stab, _ in _walk(order, True) if mul in lawful]
     found = list(_least(_lawful_tables(order), _relabelings(order)))
     assert [(mul, stab) for mul, stab, _ in found] == expected
@@ -410,7 +422,7 @@ def test_census_equals_the_scan_of_the_relabeling_walk(order):
     # candidate per isomorphism class, with no opposite product
     raw, iso = collections.Counter(), collections.Counter()
     for up_to_iso, quads in ((False, raw), (True, iso)):
-        scan = _scan(order, None, None, None, None, up_to_iso, _walk(order, True))
+        scan = _candidates(_scan(order, None, None, None, None, up_to_iso, _walk(order, True)))
         for _, _, quad, stab in scan:
             quads[quad] += 1 if up_to_iso else math.factorial(order) // len(stab)
         counts = census(order, up_to_iso=up_to_iso).counts
@@ -422,10 +434,62 @@ def test_census_equals_the_scan_of_the_relabeling_walk(order):
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_orbit_weighted_census_equals_the_brute_force_scan(order):
     brute = collections.Counter(
-        map(operator.itemgetter(2), _scan(order, None, None, None, None, False, _walk(order)))
+        map(
+            operator.itemgetter(2),
+            _candidates(_scan(order, None, None, None, None, False, _walk(order))),
+        )
     )
     counts = census(order).counts
     assert {q: k for q, k in counts.items() if k} == dict(brute)
+
+
+def _left_out_by_both_laws(tables, order):
+    # every alpha the census leaves out of the law kernel fails both laws
+    rows = list(itertools.product(range(order), repeat=order))
+    commuting, left_out = _commuting(rows), 0
+    for mul in tables:
+        kept = set(_undecided(mul, commuting))
+        for al in rows:
+            if al not in kept:
+                assert _hom_witness(mul, al, order) is not None, (mul, al)
+                assert _mult_witness(mul, al, order) is not None, (mul, al)
+                left_out += 1
+    return left_out
+
+
+@pytest.mark.parametrize("order, left_out", [(1, 0), (2, 12), (3, 407904)])
+def test_every_alpha_the_census_leaves_out_fails_both_laws(order, left_out):
+    # every candidate of the order: 77% of them at order 3
+    tables = [mul for mul, _ in _every_table(order)]
+    assert _left_out_by_both_laws(tables, order) == left_out
+
+
+def test_every_alpha_the_census_leaves_out_fails_both_laws_at_order_four():
+    # 1,500 seeded random tables and the first 500 tables of the lawful
+    # search, against all 256 alphas each
+    rng = random.Random(20)
+    tables = [
+        tuple(tuple(rng.randrange(4) for _ in range(4)) for _ in range(4)) for _ in range(1500)
+    ]
+    tables += [mul for mul, _ in itertools.islice(_lawful_tables(4), 500)]
+    assert _left_out_by_both_laws(tables, 4) == 411914
+
+
+def test_census_runs_the_law_kernel_on_the_undecided_alphas_alone(monkeypatch):
+    # the least tables hold 46,818 candidates at order 3; the law instances
+    # with one alpha value decide all but 12,469 of them, 13,159 up to
+    # isomorphism, where tables with a larger stabilizer keep every alpha
+    module, calls = importlib.import_module("invhom.census"), []
+
+    def counted(mul, al, n):
+        calls.append(al)
+        return _hom_witness(mul, al, n)
+
+    monkeypatch.setattr(module, "_hom_witness", counted)
+    for up_to_iso, frozen in ((False, ORDER3_RAW), (True, ORDER3_ISO)):
+        calls.clear()
+        assert census(3, up_to_iso=up_to_iso).counts == frozen
+        assert len(calls) <= 14000
 
 
 LAWFUL = dict(hom_associative=True, multiplicative=True, involutive_alpha=True)
@@ -436,7 +500,7 @@ def test_lawful_search_leaves_are_exactly_the_lawful_candidates(order):
     # the search alone, without the final law check in the scan loop
     leaves = list(_lawful_tables(order))
     found = [(mul, al) for mul, alphas in leaves for al in alphas]
-    walk = _scan(order, True, None, True, True, False, _walk(order))
+    walk = _candidates(_scan(order, True, None, True, True, False, _walk(order)))
     assert found == [(mul, al) for mul, al, _, _ in walk]
 
 
@@ -444,7 +508,7 @@ def test_lawful_search_leaves_are_exactly_the_lawful_candidates(order):
 @pytest.mark.parametrize("assoc", [None, True, False])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_lawful_stream_equals_the_table_walk_in_order(order, assoc, up_to_iso):
-    walk = _scan(order, True, assoc, True, True, up_to_iso, _walk(order, up_to_iso))
+    walk = _candidates(_scan(order, True, assoc, True, True, up_to_iso, _walk(order, up_to_iso)))
     expected = [(mul, al) for mul, al, _, _ in walk]
     stream = iter_matching(order, associative=assoc, up_to_iso=up_to_iso, **LAWFUL)
     assert [(m.mul, m.alpha) for m in stream] == expected

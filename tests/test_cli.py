@@ -456,6 +456,26 @@ def test_closed_stdout_is_a_quiet_exit():
             assert (done.returncode, done.stderr) == (0, b"")
 
 
+def test_bench_pairs_gives_a_verdict_on_a_claimed_gain():
+    root = Path(__file__).resolve().parent.parent
+
+    def verdict(bench, claim):
+        command = [sys.executable, "tools/bench_pairs.py", "summary", bench, "--claim", claim]
+        done = subprocess.run(command, capture_output=True, text=True, cwd=root, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        return done.stdout.splitlines()[-1]
+
+    # 12 of 12 pairs, -41.7% against a parent spread of 0.090
+    assert verdict("BENCH_17.json", "census:wall_s") == (
+        "claim census:wall_s: met (wins 12/12, median -41.7%, parent IQR/median 0.090)"
+    )
+    assert verdict("BENCH_20.json", "census:wall_s").startswith("claim census:wall_s: met (")
+    # 2 of 10 pairs; 3 pairs are too few; an unknown metric has no pairs
+    assert verdict("BENCH_19.json", "census:wall_s").startswith("claim census:wall_s: not met (")
+    assert verdict("BENCH_8.json", "census:wall_s").startswith("claim census:wall_s: not met (")
+    assert verdict("BENCH_17.json", "census:cpu_s") == "claim census:cpu_s: not met (no pairs)"
+
+
 # Hypothesis reruns one test function many times, which the function-scoped
 # capsys fixture behind `run` does not support, so this captures by hand.
 def _main(argv):

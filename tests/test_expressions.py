@@ -204,8 +204,9 @@ def test_render_is_fully_parenthesized():
     assert big == Alpha(Scaled(10**5000, WordLit(w("x"))))
     assert hash(big) == hash(Alpha(Scaled(10**5000, WordLit(w("x")))))
     limit = sys.get_int_max_str_digits()
-    with pytest.raises(ValueError, match="^a coefficient has more than %d digits$" % limit):
-        render_expr(big)
+    for show in (render_expr, repr):
+        with pytest.raises(ValueError, match="^a coefficient has more than %d digits$" % limit):
+            show(big)
 
 
 def test_right_nested_sums_equal_their_left_nested_values():

@@ -105,7 +105,18 @@ def test_extension_is_a_morphism(u, v):
     assert extend(f, alpha_word(u)) == m.alpha[extend(f, u)]
 
 
-def test_extend_is_the_twisted_product_of_the_masked_images():
+@pytest.fixture(scope="module")
+def order4_classes():
+    # the 276 order-4 lawful classes, each as its least relabeling
+    lawful = dict(hom_associative=True, multiplicative=True, involutive_alpha=True)
+    return list(iter_matching(4, up_to_iso=True, **lawful))
+
+
+# assignments of x and y into the order-4 classes
+ORDER4_MAPPINGS = ({"x": 0, "y": 3}, {"x": 3, "y": 1})
+
+
+def test_extend_is_the_twisted_product_of_the_masked_images(order4_classes):
     # an oracle with no fold: the words are the Yau twist of concatenation by
     # the mask (words.py), and on a lawful target mu = alpha . mul is
     # associative, so extend(w) is the mu-product of alpha^(bit xor c)(image)
@@ -118,13 +129,11 @@ def test_extend_is_the_twisted_product_of_the_masked_images():
         [(l.name, l.bit != int(c)) for l, c in zip(w.letters, masks[len(w) - 1])]
         for w in words
     ]
-    lawful = dict(hom_associative=True, multiplicative=True, involutive_alpha=True)
-    targets = list(iter_matching(4, up_to_iso=True, **lawful))
-    assert (len(targets), len(words)) == (276, 340)
+    assert (len(order4_classes), len(words)) == (276, 340)
     rng = random.Random(2)
-    for m in targets:
+    for m in order4_classes:
         mu = [[m.alpha[p] for p in row] for row in m.mul]
-        for mapping in ({"x": 0, "y": 3}, {"x": 3, "y": 1}):
+        for mapping in ORDER4_MAPPINGS:
             f = GeneratorAssignment(m, mapping)
             for w, plan in zip(words, plans):
                 factors = [m.alpha[mapping[n]] if twist else mapping[n] for n, twist in plan]
@@ -135,6 +144,14 @@ def test_extend_is_the_twisted_product_of_the_masked_images():
 
 
 # ---------------------------------------------------------------- verifiers
+
+def test_verifiers_pass_on_every_order_four_lawful_class(order4_classes):
+    for m in order4_classes:
+        for mapping in ORDER4_MAPPINGS:
+            f = GeneratorAssignment(m, mapping)
+            assert verify_morphism(f, max_len=4, samples=10, seed=1) is None, (m, mapping)
+            assert verify_uniqueness(f, max_len=3) is None, (m, mapping)
+
 
 def test_verify_morphism_passes_on_a_true_assignment():
     f = swap_assignment(x="x", y="z")

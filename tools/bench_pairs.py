@@ -4,14 +4,18 @@ Run from the repository root; ``summary`` reads the bounds in BENCHMARK.json.
 
     python3 tools/bench_pairs.py run --parent DIR --change DIR --workload span \
         --seeds 1 2 3 --out BENCH_8.json [--trace 1] [--note "machine"]
-    python3 tools/bench_pairs.py summary BENCH_8.json
+    python3 tools/bench_pairs.py summary BENCH_8.json [--claim census:wall_s]
 
 Pair k runs the parent first when k is even and the change first when k is
 odd.  Each run's final JSON line is appended to the output file, with its
 seed, workload, side and place in the pair, as soon as the run ends.
 ``summary`` prints each side's median and quartiles per end-to-end metric,
 the pairs the change won, and whether the parent's spread exceeds the bound.
-Standard library only.
+With ``--claim WORKLOAD:METRIC`` it ends with a verdict line, ``met`` or ``not
+met``, on a claimed gain: at least ten pairs, the change better in at least
+nine tenths of them, the medians apart by more than the parent's IQR/median in
+the better direction, and no more failed ops than the parent.  It exits 0
+either way.  Standard library only.
 """
 
 import argparse
@@ -46,6 +50,7 @@ def summary(args):
     doc = json.loads(Path(args.file).read_text())
     bounds = json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]
     runs = [r for r in doc["runs"] if r["trace"] == 0 and r["result"]]
+    claimed = None
     for workload in sorted({r["workload"] for r in runs}):
         by = {(r["seed"], r["side"]): r["result"] for r in runs if r["workload"] == workload}
         seeds = sorted({seed for seed, _ in by if (seed, "parent") in by and (seed, "change") in by})
@@ -59,12 +64,20 @@ def summary(args):
             wins = sum(sign * (value[seed, "change"] - value[seed, "parent"]) < 0 for seed in seeds)
             med = {s: statistics.median(v) for s, v in sides.items()}
             spread = (q["parent"][2] - q["parent"][0]) / med["parent"]
+            moved = med["change"] / med["parent"] - 1
+            if args.claim == "%s:%s" % (workload, name):
+                met = (len(seeds) >= 10 and wins >= 0.9 * len(seeds) and -sign * moved > spread
+                       and failed[1] <= failed[0])
+                claimed = "%s (wins %d/%d, median %+.1f%%, parent IQR/median %.3f)" % (
+                    "met" if met else "not met", wins, len(seeds), 100 * moved, spread)
             print("  %-12s parent %9.4g [%.4g, %.4g]  change %9.4g [%.4g, %.4g]  %+6.1f%%"
                   "  wins %d/%d  parent IQR/median %.3f%s" % (
                       name, med["parent"], q["parent"][0], q["parent"][2], med["change"],
-                      q["change"][0], q["change"][2], 100 * (med["change"] / med["parent"] - 1),
+                      q["change"][0], q["change"][2], 100 * moved,
                       wins, len(seeds), spread,
                       "  (wider than bound %.2f)" % spec["bound"] if spread > spec["bound"] else ""))
+    if args.claim:
+        print("claim %s: %s" % (args.claim, claimed or "not met (no pairs)"))
 
 
 def main():
@@ -81,6 +94,7 @@ def main():
     p.set_defaults(func=run_pairs)
     p = sub.add_parser("summary")
     p.add_argument("file")
+    p.add_argument("--claim", metavar="WORKLOAD:METRIC")
     p.set_defaults(func=summary)
     args = parser.parse_args()
     try:
