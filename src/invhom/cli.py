@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--filter",
         action="append",
         choices=sorted(_FILTER_LAWS),
-        help="require a law; repeatable, streams matching tables as JSON lines",
+        help="require a law; repeatable, streams matching tables as JSON lines; "
+        "at order 4 only a stream that requires hom and inv ends",
     )
     p.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
     p.add_argument("--limit", type=int, help="stop after this many streamed tables; needs --filter")

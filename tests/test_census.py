@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import operator
-import random
 import tracemalloc
 from pathlib import Path
 
@@ -12,21 +11,21 @@ import pytest
 
 from invhom.census import (
     Census,
+    _alpha_classes,
     _every_table,
+    _fixed,
     _lawful_tables,
-    _commuting,
     _least,
+    _mult_count,
     _relabelings,
     _scan,
-    _symmetries,
-    _undecided,
     canonical_form,
     census,
     iter_matching,
 )
 from invhom.cli import main
 from invhom.finite import FiniteHomMagma, classify, fixture, relabel, structure_to_dict
-from invhom.finite import _hom_witness, _mult_witness
+from invhom.finite import _invol_witness, _mult_witness
 
 # frozen counts for order 2, keyed (hom, assoc, mult, invol)
 ORDER2_COUNTS = {
@@ -188,6 +187,11 @@ def test_iso_and_raw_censuses_are_consistent():
         assert k <= raw.counts[quad] <= 2 * k
 
 
+def _involutions(order):
+    alphas = itertools.product(range(order), repeat=order)
+    return [al for al in alphas if _invol_witness(al, order) is None]
+
+
 def _walk(order, up_to_iso=False):
     # every product table as _scan takes it, through the relabeling orbit walk
     # for up_to_iso
@@ -195,11 +199,6 @@ def _walk(order, up_to_iso=False):
     if up_to_iso:
         return _least(source, _relabelings(order))
     return ((mul, None, alphas) for mul, alphas in source)
-
-
-def _candidates(scan):
-    # the candidates of _scan's records, one per table, as (mul, alpha, quad, stab)
-    return ((mul, al, quad, stab) for mul, stab, _, _, passed in scan for al, quad in passed)
 
 
 def _order2_candidates():
@@ -266,9 +265,7 @@ def test_iso_census_equals_the_canonical_least_raw_candidates(order):
     # neither canonical_form nor the unweighted raw scan uses a stabilizer
     brute = collections.Counter(
         quad
-        for mul, al, quad, _ in _candidates(
-            _scan(order, None, None, None, None, False, _walk(order))
-        )
+        for mul, al, quad, _ in _scan(order, None, None, None, None, False, _walk(order))
         if (sum(mul, ()), al) == canonical_form(mul, al)
     )
     counts = census(order, up_to_iso=True).counts
@@ -324,13 +321,13 @@ def test_each_orbit_starts_at_its_least_relabel_image(order):
 
 @pytest.mark.parametrize("order, orbits", [(1, 1), (2, 7), (3, 32)])
 def test_orbit_walk_of_the_lawful_search_keeps_the_lawful_least_tables(order, orbits):
-    scan = _candidates(_scan(order, True, None, True, True, False, _walk(order)))
+    scan = _scan(order, True, None, True, True, False, _walk(order))
     lawful = {mul for mul, _, _, _ in scan}
     expected = [(mul, stab) for mul, stab, _ in _walk(order, True) if mul in lawful]
-    found = list(_least(_lawful_tables(order), _relabelings(order)))
+    found = list(_least(_lawful_tables(order, _involutions(order), True), _relabelings(order)))
     assert [(mul, stab) for mul, stab, _ in found] == expected
     assert len(found) == orbits
-    leaves = {mul: alphas for mul, alphas in _lawful_tables(order)}
+    leaves = {mul: alphas for mul, alphas in _lawful_tables(order, _involutions(order), True)}
     assert all(alphas == leaves[mul] for mul, _, alphas in found)
 
 
@@ -374,46 +371,16 @@ def _opposite(mul):
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_every_law_holds_exactly_when_it_holds_for_the_opposite_product(order):
     # every candidate at orders 1 and 2; at order 3, every alpha on the least
-    # table of each orbit the census walks
+    # table of each orbit under relabeling, which keeps every law and commutes
+    # with the opposite product
     if order < 3:
         tables = [mul for mul, _ in _every_table(order)]
     else:
-        tables = [mul for mul, _, _ in _least(_every_table(order), _symmetries(order))]
-        assert len(tables) == 1734
+        tables = [mul for mul, _, _ in _least(_every_table(order), _relabelings(order))]
+        assert len(tables) == 3330
     for mul in tables:
         for al in itertools.product(range(order), repeat=order):
             assert _laws(_opposite(mul), al) == _laws(mul, al), (mul, al)
-
-
-@pytest.mark.parametrize("order, orbits", [(1, 1), (2, 7), (3, 1734)])
-def test_census_walks_orbits_under_relabeling_and_the_opposite_product(
-    order, orbits, monkeypatch
-):
-    # the orbit counts are the magmas up to isomorphism and anti-isomorphism
-    group, labels, alpha = _symmetries(order), "abc"[:order], (0,) * order
-    assert len(group) == 2 * math.factorial(order)
-    found = list(_least(_every_table(order), group))
-    assert len(found) == orbits
-    assert sum(len(group) // len(stab) for _, stab, _ in found) == order ** (order * order)
-    assert [table for table, _, _ in found] == sorted(table for table, _, _ in found)
-    for table, stab, _ in found:
-        # each image by definition: the opposite product if asked, then relabeling
-        images = [
-            relabel(FiniteHomMagma(labels, _opposite(table) if opp else table, alpha), g).mul
-            for g, _, opp, _ in group
-        ]
-        assert min(images) == table
-        assert stab == [s for s, image in zip(group, images) if image == table]
-    # the census walks this group
-    walked = []
-
-    def recorded(n):
-        walked.append(n)
-        return _symmetries(n)
-
-    monkeypatch.setattr(importlib.import_module("invhom.census"), "_symmetries", recorded)
-    census(order)
-    assert walked == [order]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -422,7 +389,7 @@ def test_census_equals_the_scan_of_the_relabeling_walk(order):
     # candidate per isomorphism class, with no opposite product
     raw, iso = collections.Counter(), collections.Counter()
     for up_to_iso, quads in ((False, raw), (True, iso)):
-        scan = _candidates(_scan(order, None, None, None, None, up_to_iso, _walk(order, True)))
+        scan = _scan(order, None, None, None, None, up_to_iso, _walk(order, True))
         for _, _, quad, stab in scan:
             quads[quad] += 1 if up_to_iso else math.factorial(order) // len(stab)
         counts = census(order, up_to_iso=up_to_iso).counts
@@ -436,60 +403,74 @@ def test_orbit_weighted_census_equals_the_brute_force_scan(order):
     brute = collections.Counter(
         map(
             operator.itemgetter(2),
-            _candidates(_scan(order, None, None, None, None, False, _walk(order))),
+            _scan(order, None, None, None, None, False, _walk(order)),
         )
     )
     counts = census(order).counts
     assert {q: k for q, k in counts.items() if k} == dict(brute)
 
 
-def _left_out_by_both_laws(tables, order):
-    # every alpha the census leaves out of the law kernel fails both laws
-    rows = list(itertools.product(range(order), repeat=order))
-    commuting, left_out = _commuting(rows), 0
-    for mul in tables:
-        kept = set(_undecided(mul, commuting))
-        for al in rows:
-            if al not in kept:
-                assert _hom_witness(mul, al, order) is not None, (mul, al)
-                assert _mult_witness(mul, al, order) is not None, (mul, al)
-                left_out += 1
-    return left_out
+@pytest.mark.parametrize("order, classes", [(1, 1), (2, 3), (3, 7), (4, 19)])
+def test_alpha_classes_hold_each_alpha_once(order, classes):
+    # the maps of range(n) to itself up to conjugacy, OEIS A001372
+    found = _alpha_classes(order)
+    assert len(found) == classes
+    assert sum(size for _, size in found) == order**order
+    labels, table = "abcd"[:order], ((0,) * order,) * order
+    group = list(itertools.permutations(range(order)))
+    for al, size in found:
+        conjugates = {relabel(FiniteHomMagma(labels, table, al), g).alpha for g in group}
+        assert min(conjugates) == al and len(conjugates) == size
+    assert (tuple(range(order)), 1) in found
 
 
-@pytest.mark.parametrize("order, left_out", [(1, 0), (2, 12), (3, 407904)])
-def test_every_alpha_the_census_leaves_out_fails_both_laws(order, left_out):
-    # every candidate of the order: 77% of them at order 3
+FROZEN_RAW = {1: {(True, True, True, True): 1}, 2: ORDER2_COUNTS, 3: ORDER3_RAW}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_closed_form_counts_the_multiplicative_tables_of_every_alpha(order):
     tables = [mul for mul, _ in _every_table(order)]
-    assert _left_out_by_both_laws(tables, order) == left_out
+    total = 0
+    for al in itertools.product(range(order), repeat=order):
+        brute = sum(_mult_witness(mul, al, order) is None for mul in tables)
+        assert _mult_count(al) == brute, al
+        total += brute
+    assert total == sum(k for quad, k in FROZEN_RAW[order].items() if quad[2])
 
 
-def test_every_alpha_the_census_leaves_out_fails_both_laws_at_order_four():
-    # 1,500 seeded random tables and the first 500 tables of the lawful
-    # search, against all 256 alphas each
-    rng = random.Random(20)
-    tables = [
-        tuple(tuple(rng.randrange(4) for _ in range(4)) for _ in range(4)) for _ in range(1500)
-    ]
-    tables += [mul for mul, _ in itertools.islice(_lawful_tables(4), 500)]
-    assert _left_out_by_both_laws(tables, 4) == 411914
+def _grid(flat, order):
+    return tuple(flat[i : i + order] for i in range(0, order * order, order))
 
 
-def test_census_runs_the_law_kernel_on_the_undecided_alphas_alone(monkeypatch):
-    # the least tables hold 46,818 candidates at order 3; the law instances
-    # with one alpha value decide all but 12,469 of them, 13,159 up to
-    # isomorphism, where tables with a larger stabilizer keep every alpha
-    module, calls = importlib.import_module("invhom.census"), []
+@pytest.mark.parametrize("order", [2, 3])
+def test_fixed_candidates_are_those_relabeling_leaves_alone(order):
+    labels, rows = "abc"[:order], list(itertools.product(range(order), repeat=order))
+    magmas = [FiniteHomMagma(labels, mul, rows[0]) for mul, _ in _every_table(order)]
+    for g in itertools.permutations(range(order)):
+        tables = sorted(_grid(flat, order) for flat in _fixed(g, 2))
+        assert tables == [m.mul for m in magmas if relabel(m, g).mul == m.mul], g
+        alphas = sorted(_fixed(g, 1))
+        assert alphas == [
+            al for al in rows if relabel(FiniteHomMagma(labels, magmas[0].mul, al), g).alpha == al
+        ], g
 
-    def counted(mul, al, n):
-        calls.append(al)
-        return _hom_witness(mul, al, n)
 
-    monkeypatch.setattr(module, "_hom_witness", counted)
-    for up_to_iso, frozen in ((False, ORDER3_RAW), (True, ORDER3_ISO)):
+def test_census_runs_the_law_kernel_on_few_candidates(monkeypatch):
+    # the search decides hom-associativity for the raw census; the kernel sorts
+    # its leaves and the 113 semigroups, and classifies the 324 order-3
+    # candidates that a transposition or a 3-cycle fixes
+    module, calls = importlib.import_module("invhom.census"), collections.Counter()
+    for name in ("_hom_witness", "_assoc_witness", "_mult_witness"):
+
+        def counted(*args, law=getattr(module, name), name=name):
+            calls[name] += 1
+            return law(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for up_to_iso, frozen, hom in ((False, ORDER3_RAW, 0), (True, ORDER3_ISO, 324)):
         calls.clear()
         assert census(3, up_to_iso=up_to_iso).counts == frozen
-        assert len(calls) <= 14000
+        assert sum(calls.values()) <= 3500 and calls["_hom_witness"] == hom
 
 
 LAWFUL = dict(hom_associative=True, multiplicative=True, involutive_alpha=True)
@@ -498,9 +479,9 @@ LAWFUL = dict(hom_associative=True, multiplicative=True, involutive_alpha=True)
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_lawful_search_leaves_are_exactly_the_lawful_candidates(order):
     # the search alone, without the final law check in the scan loop
-    leaves = list(_lawful_tables(order))
+    leaves = list(_lawful_tables(order, _involutions(order), True))
     found = [(mul, al) for mul, alphas in leaves for al in alphas]
-    walk = _candidates(_scan(order, True, None, True, True, False, _walk(order)))
+    walk = _scan(order, True, None, True, True, False, _walk(order))
     assert found == [(mul, al) for mul, al, _, _ in walk]
 
 
@@ -508,7 +489,7 @@ def test_lawful_search_leaves_are_exactly_the_lawful_candidates(order):
 @pytest.mark.parametrize("assoc", [None, True, False])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_lawful_stream_equals_the_table_walk_in_order(order, assoc, up_to_iso):
-    walk = _candidates(_scan(order, True, assoc, True, True, up_to_iso, _walk(order, up_to_iso)))
+    walk = _scan(order, True, assoc, True, True, up_to_iso, _walk(order, up_to_iso))
     expected = [(mul, al) for mul, al, _, _ in walk]
     stream = iter_matching(order, associative=assoc, up_to_iso=up_to_iso, **LAWFUL)
     assert [(m.mul, m.alpha) for m in stream] == expected
@@ -517,6 +498,50 @@ def test_lawful_stream_equals_the_table_walk_in_order(order, assoc, up_to_iso):
         frozen = ORDER3_ISO if up_to_iso else ORDER3_RAW
         buckets = [(True, a, True, True) for a in (False, True) if assoc in (None, a)]
         assert len(expected) == sum(frozen[q] for q in buckets)
+
+
+@pytest.fixture(scope="module")
+def hom_walks():
+    # the hom-associative candidates of the walk over every table, in order,
+    # with their law quadruples: raw and up to isomorphism at orders 2 and 3
+    return {
+        (order, up_to_iso): list(
+            _scan(order, True, None, None, None, up_to_iso, _walk(order, up_to_iso))
+        )
+        for order in (2, 3)
+        for up_to_iso in (False, True)
+    }
+
+
+@pytest.mark.parametrize("up_to_iso", [False, True])
+@pytest.mark.parametrize("order", [2, 3])
+def test_every_hom_filter_set_streams_the_table_walk_in_order(order, up_to_iso, hom_walks):
+    # all 27 settings of assoc, mult and invol with hom required go through
+    # the search
+    walk = hom_walks[order, up_to_iso]
+    for laws in itertools.product((None, True, False), repeat=3):
+        expected = [
+            (mul, al)
+            for mul, al, quad, _ in walk
+            if all(w is None or w == q for w, q in zip(laws, quad[1:]))
+        ]
+        stream = iter_matching(order, True, *laws, up_to_iso=up_to_iso)
+        assert [(m.mul, m.alpha) for m in stream] == expected, laws
+    if order == 3:
+        frozen = ORDER3_ISO if up_to_iso else ORDER3_RAW
+        assert len(walk) == sum(k for q, k in frozen.items() if q[0])
+
+
+@pytest.mark.parametrize("mult", [False, True])
+@pytest.mark.parametrize("order", [2, 3])
+def test_search_leaves_are_exactly_the_lawful_candidates_of_any_alpha(order, mult, hom_walks):
+    # every alpha, not only the involutions; a leaf's survivors are all the
+    # alphas that make it lawful, before any law check in the scan loop
+    alphas = list(itertools.product(range(order), repeat=order))
+    leaves = _lawful_tables(order, alphas, mult)
+    found = [(mul, al) for mul, survivors in leaves for al in survivors]
+    walk = hom_walks[order, False]
+    assert found == [(mul, al) for mul, al, quad, _ in walk if quad[2] or not mult]
 
 
 @pytest.fixture(scope="module")

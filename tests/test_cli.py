@@ -470,10 +470,57 @@ def test_bench_pairs_gives_a_verdict_on_a_claimed_gain():
         "claim census:wall_s: met (wins 12/12, median -41.7%, parent IQR/median 0.090)"
     )
     assert verdict("BENCH_20.json", "census:wall_s").startswith("claim census:wall_s: met (")
-    # 2 of 10 pairs; 3 pairs are too few; an unknown metric has no pairs
+    # 2 of 10 pairs; 3 pairs are too few
     assert verdict("BENCH_19.json", "census:wall_s").startswith("claim census:wall_s: not met (")
     assert verdict("BENCH_8.json", "census:wall_s").startswith("claim census:wall_s: not met (")
-    assert verdict("BENCH_17.json", "census:cpu_s") == "claim census:cpu_s: not met (no pairs)"
+
+
+def _summary(root, bench, *claim):
+    command = [sys.executable, "tools/bench_pairs.py", "summary", str(bench), *claim]
+    return subprocess.run(command, capture_output=True, text=True, cwd=root, timeout=60)
+
+
+def test_bench_pairs_refuses_a_claim_on_an_unknown_workload_or_metric():
+    root = Path(__file__).resolve().parent.parent
+    for claim, unknown in (
+        ("census:wall", "metric 'wall'"),
+        ("census:cpu_s", "metric 'cpu_s'"),
+        ("cenus:wall_s", "workload 'cenus'"),
+        ("census", "metric ''"),
+    ):
+        done = _summary(root, "BENCH_17.json", "--claim", claim)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.endswith("--claim names an unknown %s\n" % unknown)
+
+
+def test_bench_pairs_marks_a_metric_worse_than_its_bound(tmp_path):
+    # three pairs: wall_s 30% worse than the parent, beyond its 0.25 bound;
+    # peak_rss_mb 9% worse, inside its 0.1 bound; work_per_s 30% better
+    root = Path(__file__).resolve().parent.parent
+    bounds = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    change = {"wall_s": 1.3, "peak_rss_mb": 1.09, "work_per_s": 1.3}
+    runs = []
+    for seed in (1, 2, 3):
+        for side in ("parent", "change"):
+            metrics = {
+                spec["name"]: {"value": (change.get(spec["name"], 1.0) if side == "change" else 1.0)
+                               * (1 + seed / 1000)}
+                for spec in bounds
+            }
+            result = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+            runs.append({"workload": "census", "seed": seed, "trace": 0, "side": side,
+                         "place": 0, "returncode": 0, "result": result})
+    bench = tmp_path / "BENCH_test.json"
+    bench.write_text(json.dumps({"runs": runs}))
+    done = _summary(root, bench)
+    assert (done.returncode, done.stderr) == (0, "")
+    marked = [line.split()[0] for line in done.stdout.splitlines() if "REGRESSION" in line]
+    assert marked == ["wall_s"]
+    assert "REGRESSION (worse than bound 0.25)" in done.stdout
+    # a declared workload with no pairs in the file
+    done = _summary(root, bench, "--claim", "span:wall_s")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "claim span:wall_s: not met (no pairs)"
 
 
 # Hypothesis reruns one test function many times, which the function-scoped

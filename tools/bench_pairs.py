@@ -11,11 +11,14 @@ odd.  Each run's final JSON line is appended to the output file, with its
 seed, workload, side and place in the pair, as soon as the run ends.
 ``summary`` prints each side's median and quartiles per end-to-end metric,
 the pairs the change won, and whether the parent's spread exceeds the bound.
-With ``--claim WORKLOAD:METRIC`` it ends with a verdict line, ``met`` or ``not
-met``, on a claimed gain: at least ten pairs, the change better in at least
-nine tenths of them, the medians apart by more than the parent's IQR/median in
-the better direction, and no more failed ops than the parent.  It exits 0
-either way.  Standard library only.
+A metric whose change median is worse than the parent's by more than its
+bound is marked as a regression.  With ``--claim WORKLOAD:METRIC`` it ends
+with a verdict line, ``met`` or ``not met``, on a claimed gain: at least ten
+pairs, the change better in at least nine tenths of them, the medians apart
+by more than the parent's IQR/median in the better direction, and no more
+failed ops than the parent.  It exits 0 either way, and 2 when the claim
+names a workload or metric that BENCHMARK.json does not declare.  Standard
+library only.
 """
 
 import argparse
@@ -48,8 +51,15 @@ def run_pairs(args):
 
 def summary(args):
     doc = json.loads(Path(args.file).read_text())
-    bounds = json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]
-    runs = [r for r in doc["runs"] if r["trace"] == 0 and r["result"]]
+    declared = json.loads(Path("BENCHMARK.json").read_text())
+    bounds = declared["end_to_end"]
+    if args.claim:
+        workload, _, name = args.claim.partition(":")
+        if workload not in {w["name"] for w in declared["workloads"]}:
+            args.usage_error("--claim names an unknown workload %r" % workload)
+        if name not in {spec["name"] for spec in bounds}:
+            args.usage_error("--claim names an unknown metric %r" % name)
+    runs =[r for r in doc["runs"] if r["trace"] == 0 and r["result"]]
     claimed = None
     for workload in sorted({r["workload"] for r in runs}):
         by = {(r["seed"], r["side"]): r["result"] for r in runs if r["workload"] == workload}
@@ -71,11 +81,13 @@ def summary(args):
                 claimed = "%s (wins %d/%d, median %+.1f%%, parent IQR/median %.3f)" % (
                     "met" if met else "not met", wins, len(seeds), 100 * moved, spread)
             print("  %-12s parent %9.4g [%.4g, %.4g]  change %9.4g [%.4g, %.4g]  %+6.1f%%"
-                  "  wins %d/%d  parent IQR/median %.3f%s" % (
+                  "  wins %d/%d  parent IQR/median %.3f%s%s" % (
                       name, med["parent"], q["parent"][0], q["parent"][2], med["change"],
                       q["change"][0], q["change"][2], 100 * moved,
                       wins, len(seeds), spread,
-                      "  (wider than bound %.2f)" % spec["bound"] if spread > spec["bound"] else ""))
+                      "  (wider than bound %.2f)" % spec["bound"] if spread > spec["bound"] else "",
+                      "  REGRESSION (worse than bound %.2f)" % spec["bound"]
+                      if sign * moved > spec["bound"] else ""))
     if args.claim:
         print("claim %s: %s" % (args.claim, claimed or "not met (no pairs)"))
 
@@ -95,7 +107,7 @@ def main():
     p = sub.add_parser("summary")
     p.add_argument("file")
     p.add_argument("--claim", metavar="WORKLOAD:METRIC")
-    p.set_defaults(func=summary)
+    p.set_defaults(func=summary, usage_error=p.error)
     args = parser.parse_args()
     try:
         args.func(args)
