@@ -8,16 +8,17 @@ laws are checked with the index-level kernel from finite.py.
 The census counts rather than visits the candidates.  Relabeling keeps every
 law and conjugates alpha, so the census counts for the least alpha of each
 conjugacy class, weighted by the class size: 3, 7 and 19 classes at orders
-2-4 (OEIS A001372).  For such an alpha, write H, A and M for the tables on
-which it is hom-associative, associative and multiplicative, N = n**(n*n).
+2-4 (OEIS A001372).  For such an alpha, M counts the tables on which it is
+multiplicative, of N = n**(n*n) tables.
 
-- One search (below), run once for all these alphas, yields H for each.
-  Under the identity alpha hom-associativity is associativity, so it also
-  yields A, the labeled semigroups: 113 at order 3.  The kernel sorts H into
-  the four hom = yes buckets, and finds AM among the semigroups.
-- The hom = no buckets follow by inclusion-exclusion:
-  (no, yes, yes) = AM - HAM, (no, yes, no) = A - AM - (HA - HAM),
-  (no, no, yes) = M - AM - (HM - HAM), and (no, no, no) is the rest of N.
+- One search (below), run once for all these alphas, yields the tables on
+  which one of them is hom-associative.  Under the identity alpha
+  hom-associativity is associativity, so it also yields the labeled
+  semigroups: 113 at order 3.  The kernel sorts each leaf, for its
+  survivors, and each semigroup, for every alpha, by (hom, assoc, mult).
+  That counts every bucket with hom or assoc directly.
+- Two buckets follow: (no, no, yes) = M less the counted candidates with
+  mult, and (no, no, no) is the rest of N.
 - M has a closed form.  Multiplicativity says m_(T p) = alpha(m_p), where
   T(x, y) = (alpha x, alpha y).  Each component of T's functional graph is
   a cycle with in-trees.  A value v at one cycle cell fixes the whole cycle
@@ -32,16 +33,17 @@ relabeling by g leaves alone.  Conjugate g give equal terms, so one g per
 cycle type serves, and the identity's term is the raw count.  Fix(g) holds
 the tables with m[gx][gy] = g(m[x][y]) and the alphas with
 alpha o g = g o alpha, built one orbit of cells or elements at a time; the
-kernel classifies all of them, 324 candidates at order 3.
+scan loop _scan classifies all of them, 324 candidates at order 3.
 
 The search, _lawful_tables, fills the cells one at a time in scan order, as
 the finite model finder Mace4 does (McCune), and keeps per partial table the
 alphas that no completed law instance rules out; an instance with empty data
 cells waits on a watch list (as in the Chaff SAT solver).  It serves the
-census and every stream that requires hom-associativity; a stream's scan
-loop still runs the kernel on its candidates.  With up_to_iso a stream
-yields the least candidate of each isomorphism class, found by the orbit
-walk _least (orderly generation, after McKay).
+census and every stream that requires hom-associativity.  With up_to_iso a
+stream's tables pass through the orbit walk _least (orderly generation,
+after McKay), which yields the least candidate of each isomorphism class.
+Every table source yields (mul, alphas), and _scan runs the kernel on the
+candidates of the streams, the Burnside terms and the brute-force oracles.
 
 The package binds the name invhom.census to the census function, which
 hides this module of the same name: ``import invhom.census as m`` gives the
@@ -124,24 +126,21 @@ class Census:
         return total
 
 
-def _scan(
-    n, hom_associative, associative, multiplicative, involutive_alpha, up_to_iso, tables
-) -> Iterator[Tuple[tuple, tuple, Quad, Optional[list]]]:
-    """Yield (mul, alpha, quad, stab) for each candidate that passes, in order.
+def _scan(n, laws, tables) -> Iterator[Tuple[tuple, tuple, Quad]]:
+    """Yield (mul, alpha, quad) for each candidate that passes, in order.
 
-    Filters are three-valued as in iter_matching.  ``tables`` yields
-    (mul, stab, alphas) in scan order, with the alpha tables to try on mul.
-    Laws run on every candidate, so a source may only prune, and cheapest
-    first: involution, associativity once per table, then hom-associativity
-    and multiplicativity.  With up_to_iso, stab is Stab(mul) from _least, and
-    a candidate passes only if alpha is least among its images under it.
+    ``laws`` holds the four three-valued filters of iter_matching, and
+    ``tables`` yields (mul, alphas) in scan order: a stream's source, the
+    candidates a relabeling fixes, or every candidate for an oracle.  Laws
+    run on every candidate, so a source may only prune, and cheapest first:
+    involution, associativity once per table, then hom-associativity and
+    multiplicativity.
     """
     want_hom, want_assoc, want_mult, want_invol = (
-        (False, True) if law is None else (law,)
-        for law in (hom_associative, associative, multiplicative, involutive_alpha)
+        (False, True) if law is None else (law,) for law in laws
     )
     invol = {al: _invol_witness(al, n) is None for al in itertools.product(range(n), repeat=n)}
-    for mul, stab, alphas in tables:
+    for mul, alphas in tables:
         assoc = _assoc_witness(mul, n) is None
         if assoc not in want_assoc:
             continue
@@ -155,11 +154,7 @@ def _scan(
             mult = _mult_witness(mul, al, n) is None
             if mult not in want_mult:
                 continue
-            # al must be least among its images under Stab(mul); a stabilizer
-            # that is only the identity, as most are, passes all.
-            if up_to_iso and len(stab) > 1 and any(image[al] < al for *_, image in stab):
-                continue
-            yield mul, al, (hom, assoc, mult, inv), stab
+            yield mul, al, (hom, assoc, mult, inv)
 
 
 def _every_table(n) -> Iterator[Tuple[tuple, List[tuple]]]:
@@ -246,21 +241,21 @@ def _lawful_tables(n, alphas, mult) -> Iterator[Tuple[tuple, List[tuple]]]:
     return fill(0, records)
 
 
-def _least(tables, group) -> Iterator[Tuple[tuple, list, List[tuple]]]:
-    """Yield (mul, Stab(mul), alphas) for each table least in its orbit.
+def _least(tables, group) -> Iterator[Tuple[tuple, List[tuple]]]:
+    """Yield (mul, alphas), the least candidates of their classes, in order.
 
     ``tables`` yields (mul, alphas) in scan order.  ``group`` holds the
     relabelings, identity first, so the orbits are isomorphism classes.  A
-    table is least when none of its images comes before it, and Stab(mul)
-    holds the relabelings that fix it.  Most images differ from the table in
-    their first row, one lookup; only an image that starts with the table's
-    first row is built in full.
+    table is kept when none of its images comes before it, with the alphas
+    least among their images under Stab(mul), the relabelings that fix it;
+    a stabilizer of the identity alone, as most are, keeps them all.  Most
+    images differ from the table in their first row, one lookup; only an
+    image that starts with the table's first row is built in full.
     """
-    identity, others = group[0], group[1:]
+    others = group[1:]
     for mul, alphas in tables:
-        stab, first = [identity], mul[0]
-        for s in others:
-            _, h, image = s
+        stab, first = [], mul[0]
+        for _, h, image in others:
             row = image[mul[h[0]]]
             if row > first:
                 continue
@@ -270,9 +265,11 @@ def _least(tables, group) -> Iterator[Tuple[tuple, list, List[tuple]]]:
             if table < mul:
                 break
             if table == mul:
-                stab.append(s)
+                stab.append(image)
         else:
-            yield mul, stab, alphas
+            if stab:
+                alphas = [al for al in alphas if all(image[al] >= al for image in stab)]
+            yield mul, alphas
 
 
 def _cycles(t, f) -> List[Tuple[List[int], List[List[int]]]]:
@@ -342,31 +339,23 @@ def census(order: int, up_to_iso: bool = False) -> Census:
     """Classify every candidate of the given order against all four laws.
 
     The counts come per alpha conjugacy class from one pruning search, the
-    kernel, inclusion-exclusion and a closed form; with up_to_iso, Burnside's
-    lemma gives the classes (module docstring).
+    kernel and a closed form; with up_to_iso, Burnside's lemma gives the
+    classes, its terms classified by _scan (module docstring).
     """
     if not 1 <= order <= 3:
         raise ValueError("census is exhaustive, order must be 1, 2, or 3")
     n, classes = order, _alpha_classes(order)
     reps = [al for al, _ in classes]
-    # per alpha: the tables of H by (assoc, mult), and AM
-    h, am, semigroups = {al: collections.Counter() for al in reps}, collections.Counter(), 0
+    # per alpha: the tables of the search and the semigroups by (hom, assoc, mult)
+    seen = {al: collections.Counter() for al in reps}
     for mul, survivors in _lawful_tables(n, reps, False):
         assoc = _assoc_witness(mul, n) is None
-        semigroups += assoc
         for al in reps if assoc else survivors:
-            mult = _mult_witness(mul, al, n) is None
-            if al in survivors:
-                h[al][assoc, mult] += 1
-            am[al] += assoc and mult
+            seen[al][al in survivors, assoc, _mult_witness(mul, al, n) is None] += 1
     quads = collections.Counter()
     for al, size in classes:
-        ham = h[al][True, True]
-        ha, hm = ham + h[al][True, False], ham + h[al][False, True]
-        buckets = {(True, assoc, mult): k for (assoc, mult), k in h[al].items()}
-        buckets[False, True, True] = am[al] - ham
-        buckets[False, True, False] = semigroups - am[al] - (ha - ham)
-        buckets[False, False, True] = _mult_count(al) - am[al] - (hm - ham)
+        buckets = seen[al]
+        buckets[False, False, True] = _mult_count(al) - sum(k for q, k in buckets.items() if q[2])
         buckets[False, False, False] = n ** (n * n) - sum(buckets.values())
         invol = _invol_witness(al, n) is None
         for (hom, assoc, mult), k in buckets.items():
@@ -378,13 +367,10 @@ def census(order: int, up_to_iso: bool = False) -> Census:
         for g, _, _ in _relabelings(n):
             kinds[tuple(sorted(len(cycle) for cycle, _ in _cycles(g, g)))].append(g)
         for g, *conjugates in list(kinds.values())[1:]:
-            alphas = [(al, _invol_witness(al, n) is None) for al in _fixed(g, 1)]
-            for flat in _fixed(g, 2):
-                mul = tuple(flat[i : i + n] for i in range(0, n * n, n))
-                assoc = _assoc_witness(mul, n) is None
-                for al, invol in alphas:
-                    hom, mult = _hom_witness(mul, al, n) is None, _mult_witness(mul, al, n) is None
-                    quads[hom, assoc, mult, invol] += 1 + len(conjugates)
+            alphas = list(_fixed(g, 1))
+            grids = (tuple(f[i : i + n] for i in range(0, n * n, n)) for f in _fixed(g, 2))
+            for _, _, quad in _scan(n, (None,) * 4, ((mul, alphas) for mul in grids)):
+                quads[quad] += 1 + len(conjugates)
         for quad, k in quads.items():
             if k % math.factorial(n):
                 raise RuntimeError("Burnside sum %d for %s is not a multiple of %d!" % (k, quad, n))
@@ -423,7 +409,7 @@ def iter_matching(
         source = _lawful_tables(order, alphas, multiplicative is True)
     else:
         source = _every_table(order)
-    tables = _least(source, _relabelings(order)) if up_to_iso else ((m, None, a) for m, a in source)
+    if up_to_iso:
+        source = _least(source, _relabelings(order))
     laws = (hom_associative, associative, multiplicative, involutive_alpha)
-    scan = _scan(order, *laws, up_to_iso, tables)
-    return (FiniteHomMagma(_LABELS[:order], mul, al) for mul, al, _, _ in scan)
+    return (FiniteHomMagma(_LABELS[:order], mul, al) for mul, al, _ in _scan(order, laws, source))

@@ -1,4 +1,5 @@
 import collections
+import functools
 import importlib
 import itertools
 import json
@@ -192,13 +193,34 @@ def _involutions(order):
     return [al for al in alphas if _invol_witness(al, order) is None]
 
 
+# no filter in _scan
+ANY = (None,) * 4
+
+
 def _walk(order, up_to_iso=False):
-    # every product table as _scan takes it, through the relabeling orbit walk
-    # for up_to_iso
+    # every candidate as _scan takes it, through the relabeling orbit walk for
+    # up_to_iso
     source = _every_table(order)
-    if up_to_iso:
-        return _least(source, _relabelings(order))
-    return ((mul, None, alphas) for mul, alphas in source)
+    return _least(source, _relabelings(order)) if up_to_iso else source
+
+
+@functools.lru_cache(maxsize=None)
+def _stabilizer(mul):
+    # the relabelings that fix the table, by relabel
+    n = len(mul)
+    m = FiniteHomMagma("abcd"[:n], mul, (0,) * n)
+    return tuple(g for g in itertools.permutations(range(n)) if relabel(m, g).mul == mul)
+
+
+def _least_alphas(mul, alphas):
+    # the alphas least among their images under the table's stabilizer, whose
+    # first member, the identity, leaves every alpha alone
+    labels, others = "abcd"[: len(mul)], _stabilizer(mul)[1:]
+    return [
+        al
+        for al in alphas
+        if all(relabel(FiniteHomMagma(labels, mul, al), g).alpha >= al for g in others)
+    ]
 
 
 def _order2_candidates():
@@ -265,7 +287,7 @@ def test_iso_census_equals_the_canonical_least_raw_candidates(order):
     # neither canonical_form nor the unweighted raw scan uses a stabilizer
     brute = collections.Counter(
         quad
-        for mul, al, quad, _ in _scan(order, None, None, None, None, False, _walk(order))
+        for mul, al, quad in _scan(order, ANY, _walk(order))
         if (sum(mul, ()), al) == canonical_form(mul, al)
     )
     counts = census(order, up_to_iso=True).counts
@@ -299,47 +321,51 @@ def test_order_three_iso_stream_is_the_canonical_part_of_the_raw_stream(laws):
 @pytest.mark.parametrize("order, orbits", [(1, 1), (2, 10), (3, 3330)])
 def test_table_orbits_cover_every_table_once(order, orbits):
     # the orbit counts are the magmas up to isomorphism, OEIS A001329
-    group = _relabelings(order)
-    found = list(_least(_every_table(order), group))
+    found = list(_least(_every_table(order), _relabelings(order)))
     assert len(found) == orbits
-    assert sum(len(group) // len(stab) for _, stab, _ in found) == order ** (order * order)
-    tables = [table for table, _, _ in found]
+    weights = (math.factorial(order) // len(_stabilizer(table)) for table, _ in found)
+    assert sum(weights) == order ** (order * order)
+    tables = [table for table, _ in found]
     assert tables == sorted(tables)
+    rows = list(itertools.product(range(order), repeat=order))
+    assert all(alphas == _least_alphas(table, rows) for table, alphas in found)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_each_orbit_starts_at_its_least_relabel_image(order):
     labels, alpha = "abc"[:order], (0,) * order
     group = list(itertools.permutations(range(order)))
-    for table, stab, _ in _least(_every_table(order), _relabelings(order)):
+    rows = list(itertools.product(range(order), repeat=order))
+    for table, alphas in _least(_every_table(order), _relabelings(order)):
         m = FiniteHomMagma(labels, table, alpha)
         images = {relabel(m, g).mul for g in group}
         assert min(images) == table
-        assert [g for g, *_ in stab] == [g for g in group if relabel(m, g).mul == table]
-        assert len(images) == len(group) // len(stab)
+        assert len(images) == len(group) // len(_stabilizer(table))
+        assert alphas == _least_alphas(table, rows)
 
 
 @pytest.mark.parametrize("order, orbits", [(1, 1), (2, 7), (3, 32)])
 def test_orbit_walk_of_the_lawful_search_keeps_the_lawful_least_tables(order, orbits):
-    scan = _scan(order, True, None, True, True, False, _walk(order))
-    lawful = {mul for mul, _, _, _ in scan}
-    expected = [(mul, stab) for mul, stab, _ in _walk(order, True) if mul in lawful]
+    scan = _scan(order, (True, None, True, True), _walk(order))
+    lawful = {mul for mul, _, _ in scan}
+    expected = [mul for mul, _ in _walk(order, True) if mul in lawful]
     found = list(_least(_lawful_tables(order, _involutions(order), True), _relabelings(order)))
-    assert [(mul, stab) for mul, stab, _ in found] == expected
+    assert [mul for mul, _ in found] == expected
     assert len(found) == orbits
     leaves = {mul: alphas for mul, alphas in _lawful_tables(order, _involutions(order), True)}
-    assert all(alphas == leaves[mul] for mul, _, alphas in found)
+    assert all(alphas == _least_alphas(mul, leaves[mul]) for mul, alphas in found)
 
 
 def test_orbit_walk_keeps_only_least_tables_of_a_source_missing_one():
     # dropping a least table leaves the rest of its orbit in the source, and
     # those tables are still not least
     tables = list(_every_table(2))
-    least = [(mul, stab) for mul, stab, _ in _least(iter(tables), _relabelings(2))]
+    least = list(_least(iter(tables), _relabelings(2)))
+    assert all(alphas == _least_alphas(mul, tables[0][1]) for mul, alphas in least)
     for i in range(len(tables)):
         source = iter(tables[:i] + tables[i + 1 :])
-        found = [(mul, stab) for mul, stab, _ in _least(source, _relabelings(2))]
-        assert found == [(mul, stab) for mul, stab in least if mul != tables[i][0]]
+        found = list(_least(source, _relabelings(2)))
+        assert found == [(mul, alphas) for mul, alphas in least if mul != tables[i][0]]
 
 
 def test_orbit_walk_past_its_skip_bound_still_finds_the_least_tables():
@@ -348,7 +374,7 @@ def test_orbit_walk_past_its_skip_bound_still_finds_the_least_tables():
     tables = list(itertools.islice(_every_table(4), 2000))
     tracemalloc.start()
     try:
-        found = [mul for mul, _, _ in _least(iter(tables), _relabelings(4))]
+        found = [mul for mul, _ in _least(iter(tables), _relabelings(4))]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,7 +402,7 @@ def test_every_law_holds_exactly_when_it_holds_for_the_opposite_product(order):
     if order < 3:
         tables = [mul for mul, _ in _every_table(order)]
     else:
-        tables = [mul for mul, _, _ in _least(_every_table(order), _relabelings(order))]
+        tables = [mul for mul, _ in _least(_every_table(order), _relabelings(order))]
         assert len(tables) == 3330
     for mul in tables:
         for al in itertools.product(range(order), repeat=order):
@@ -385,13 +411,16 @@ def test_every_law_holds_exactly_when_it_holds_for_the_opposite_product(order):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_census_equals_the_scan_of_the_relabeling_walk(order):
-    # the relabeling orbit walk weighs a raw candidate n!/|Stab| and keeps one
-    # candidate per isomorphism class, with no opposite product
+    # the relabeling orbit walk keeps one candidate per isomorphism class, and
+    # its least tables with every alpha, each weighted n!/|Stab|, are the raw
+    # candidates; no opposite product
+    walk, rows = list(_walk(order, True)), list(itertools.product(range(order), repeat=order))
     raw, iso = collections.Counter(), collections.Counter()
+    for mul, _, quad in _scan(order, ANY, ((mul, rows) for mul, _ in walk)):
+        raw[quad] += math.factorial(order) // len(_stabilizer(mul))
+    iso.update(quad for _, _, quad in _scan(order, ANY, walk))
+    assert all(alphas == _least_alphas(mul, rows) for mul, alphas in walk)
     for up_to_iso, quads in ((False, raw), (True, iso)):
-        scan = _scan(order, None, None, None, None, up_to_iso, _walk(order, True))
-        for _, _, quad, stab in scan:
-            quads[quad] += 1 if up_to_iso else math.factorial(order) // len(stab)
         counts = census(order, up_to_iso=up_to_iso).counts
         assert {q: k for q, k in counts.items() if k} == dict(quads)
     if order == 3:
@@ -403,7 +432,7 @@ def test_orbit_weighted_census_equals_the_brute_force_scan(order):
     brute = collections.Counter(
         map(
             operator.itemgetter(2),
-            _scan(order, None, None, None, None, False, _walk(order)),
+            _scan(order, ANY, _walk(order)),
         )
     )
     counts = census(order).counts
@@ -481,16 +510,16 @@ def test_lawful_search_leaves_are_exactly_the_lawful_candidates(order):
     # the search alone, without the final law check in the scan loop
     leaves = list(_lawful_tables(order, _involutions(order), True))
     found = [(mul, al) for mul, alphas in leaves for al in alphas]
-    walk = _scan(order, True, None, True, True, False, _walk(order))
-    assert found == [(mul, al) for mul, al, _, _ in walk]
+    walk = _scan(order, (True, None, True, True), _walk(order))
+    assert found == [(mul, al) for mul, al, _ in walk]
 
 
 @pytest.mark.parametrize("up_to_iso", [False, True])
 @pytest.mark.parametrize("assoc", [None, True, False])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_lawful_stream_equals_the_table_walk_in_order(order, assoc, up_to_iso):
-    walk = _scan(order, True, assoc, True, True, up_to_iso, _walk(order, up_to_iso))
-    expected = [(mul, al) for mul, al, _, _ in walk]
+    walk = _scan(order, (True, assoc, True, True), _walk(order, up_to_iso))
+    expected = [(mul, al) for mul, al, _ in walk]
     stream = iter_matching(order, associative=assoc, up_to_iso=up_to_iso, **LAWFUL)
     assert [(m.mul, m.alpha) for m in stream] == expected
     if order == 3:
@@ -505,9 +534,7 @@ def hom_walks():
     # the hom-associative candidates of the walk over every table, in order,
     # with their law quadruples: raw and up to isomorphism at orders 2 and 3
     return {
-        (order, up_to_iso): list(
-            _scan(order, True, None, None, None, up_to_iso, _walk(order, up_to_iso))
-        )
+        (order, up_to_iso): list(_scan(order, (True, None, None, None), _walk(order, up_to_iso)))
         for order in (2, 3)
         for up_to_iso in (False, True)
     }
@@ -522,7 +549,7 @@ def test_every_hom_filter_set_streams_the_table_walk_in_order(order, up_to_iso, 
     for laws in itertools.product((None, True, False), repeat=3):
         expected = [
             (mul, al)
-            for mul, al, quad, _ in walk
+            for mul, al, quad in walk
             if all(w is None or w == q for w, q in zip(laws, quad[1:]))
         ]
         stream = iter_matching(order, True, *laws, up_to_iso=up_to_iso)
@@ -541,7 +568,7 @@ def test_search_leaves_are_exactly_the_lawful_candidates_of_any_alpha(order, mul
     leaves = _lawful_tables(order, alphas, mult)
     found = [(mul, al) for mul, survivors in leaves for al in survivors]
     walk = hom_walks[order, False]
-    assert found == [(mul, al) for mul, al, quad, _ in walk if quad[2] or not mult]
+    assert found == [(mul, al) for mul, al, quad in walk if quad[2] or not mult]
 
 
 @pytest.fixture(scope="module")

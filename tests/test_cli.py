@@ -486,11 +486,30 @@ def test_bench_pairs_refuses_a_claim_on_an_unknown_workload_or_metric():
         ("census:wall", "metric 'wall'"),
         ("census:cpu_s", "metric 'cpu_s'"),
         ("cenus:wall_s", "workload 'cenus'"),
-        ("census", "metric ''"),
     ):
         done = _summary(root, "BENCH_17.json", "--claim", claim)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.endswith("--claim names an unknown %s\n" % unknown)
+
+
+def test_bench_pairs_refuses_a_claim_without_a_colon_and_a_file_without_runs(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    done = _summary(root, "BENCH_17.json", "--claim", "census")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.endswith("--claim takes WORKLOAD:METRIC\n")
+    for content in ("{}", "[]", '{"runs": 3}'):
+        bench = tmp_path / "BENCH_test.json"
+        bench.write_text(content)
+        done = _summary(root, bench)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.endswith("%s holds no list of runs\n" % bench)
+    for content in (None, "runs"):
+        bench = tmp_path / "BENCH_missing.json"
+        if content is not None:
+            bench.write_text(content)
+        done = _summary(root, bench)
+        assert done.returncode == 2 and done.stdout == ""
+        assert ("cannot read %s: " % bench) in done.stderr
 
 
 def test_bench_pairs_marks_a_metric_worse_than_its_bound(tmp_path):

@@ -16,9 +16,10 @@ bound is marked as a regression.  With ``--claim WORKLOAD:METRIC`` it ends
 with a verdict line, ``met`` or ``not met``, on a claimed gain: at least ten
 pairs, the change better in at least nine tenths of them, the medians apart
 by more than the parent's IQR/median in the better direction, and no more
-failed ops than the parent.  It exits 0 either way, and 2 when the claim
-names a workload or metric that BENCHMARK.json does not declare.  Standard
-library only.
+failed ops than the parent.  It exits 0 either way, and 2 when the file is
+not JSON with a list of runs, or the claim is not WORKLOAD:METRIC or names a
+workload or metric that BENCHMARK.json does not declare.  Standard library
+only.
 """
 
 import argparse
@@ -50,16 +51,23 @@ def run_pairs(args):
 
 
 def summary(args):
-    doc = json.loads(Path(args.file).read_text())
+    try:
+        doc = json.loads(Path(args.file).read_text())
+    except (OSError, ValueError) as err:
+        args.usage_error("cannot read %s: %s" % (args.file, err))
+    if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
+        args.usage_error("%s holds no list of runs" % args.file)
     declared = json.loads(Path("BENCHMARK.json").read_text())
     bounds = declared["end_to_end"]
     if args.claim:
-        workload, _, name = args.claim.partition(":")
+        workload, colon, name = args.claim.partition(":")
+        if not colon:
+            args.usage_error("--claim takes WORKLOAD:METRIC")
         if workload not in {w["name"] for w in declared["workloads"]}:
             args.usage_error("--claim names an unknown workload %r" % workload)
         if name not in {spec["name"] for spec in bounds}:
             args.usage_error("--claim names an unknown metric %r" % name)
-    runs =[r for r in doc["runs"] if r["trace"] == 0 and r["result"]]
+    runs = [r for r in doc["runs"] if r["trace"] == 0 and r["result"]]
     claimed = None
     for workload in sorted({r["workload"] for r in runs}):
         by = {(r["seed"], r["side"]): r["result"] for r in runs if r["workload"] == workload}
