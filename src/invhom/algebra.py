@@ -13,15 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-from .words import Word, _decode, alpha_word
+from .words import Word, _decode, _text, alpha_word
 from .words import diamond_closed as diamond  # the span's product; perfbench/smoke.py swaps it
 
 Scalar = Union[int, Fraction]
-
-
-def _term_key(w: Word):
-    # by length, then letter by letter: name first, then its mark
-    return (len(w), tuple(_decode(w)))
 
 
 def _word(w) -> Word:
@@ -82,11 +77,12 @@ class AlgebraElement:
     __rmul__ = __mul__  # only a scalar reaches it, and scalars commute
 
     def __str__(self):
+        # by length, then letter by letter: name first, then its mark; the
+        # (length, pairs) rows are distinct, so the sort never compares c
         bits = []
-        for w in sorted(self.terms, key=_term_key):
-            c = self.terms[w]
+        for _, pairs, c in sorted((len(w), tuple(_decode(w)), c) for w, c in self.terms.items()):
             mag = abs(c)
-            body = str(w) if mag == 1 else "%s . %s" % (mag, w)
+            body = _text(pairs) if mag == 1 else "%s . %s" % (mag, _text(pairs))
             if not bits:
                 bits.append(body if c > 0 else "-" + body)
             else:

@@ -17,6 +17,11 @@ an explicit dot, as in "3/2 . x", and stay ints unless they have a
 denominator.  The name 'A' is reserved for the involution; a generator that
 wants the letter can use A_.  '(' and 'A(' nest to any depth.
 
+The tokenizer gives plain (kind, text, offset) tuples.  A word literal's
+maximal run of atoms is one WORD token, and one findall reads its letters,
+so the Python-level work is per token, not per letter.  A ParseError counts
+its line and column from the offset only when it is raised.
+
 Every pass over a tree keeps an explicit stack, so none recurses on depth.
 A post-order walk evaluates: the value stays a word while only words, 'A',
 and '*' are involved, and each maximal run of '+', '-', and scalars is one
@@ -30,7 +35,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, Iterable, List, Optional, Tuple, TypeVar, Union
 
 from .algebra import AlgebraElement, Scalar, _combine, alpha_alg, diamond_alg
 from .words import NAME_PATTERN, Word, _decode, _encode, alpha_word
@@ -52,35 +57,47 @@ class ModeError(ValueError):
     """An algebra-only construct appeared where a plain word is required."""
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-_TOKEN_RE = re.compile(
-    r"(?P<space>[ \t\r]+)|(?P<newline>\n)|(?P<INT>[0-9]+)"
-    r"|(?P<NAME>%s)|(?P<symbol>[-+*/.()\[\]])" % NAME_PATTERN
+# Whitespace is skipped before each token, and the group that matches names
+# its kind.  A WORD is a maximal run of well-formed atoms, none a bare 'A'.
+_SPACE = r"[ \t\r\n]*"
+_NAME = r"(?!A(?![A-Za-z0-9_]))" + NAME_PATTERN  # any name but 'A'
+_ATOM = r"(?:%s|\[%s%s%s\])" % (_NAME, _SPACE, _NAME, _SPACE)
+_TOKEN = _SPACE + (
+    r"(?:%s(?P<INT>[0-9]+)|(?P<NAME>" + NAME_PATTERN + r")|(?P<symbol>[-+*/.()\[\]])"
+    r"|(?P<END>\Z)|(?P<BAD>.))"
 )
+_WORD_TOKEN_RE = re.compile(_TOKEN % ("(?P<WORD>%s(?:%s%s)*)|" % (_ATOM, _SPACE, _ATOM)))
+_ATOM_TOKEN_RE = re.compile(_TOKEN % "")
+_LETTER_RE = re.compile(r"(\[?)%s(%s)" % (_SPACE, NAME_PATTERN))  # in a WORD: ('[' or '', name)
+_MARK = {"": "0", "[": "1"}
+_Tok = Tuple[str, str, int]  # kind, text, offset
 
 
-def tokenize(text: str) -> List[Token]:
-    toks: List[Token] = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        col = pos - line_start + 1
-        if m is None:
-            raise ParseError(line, col, "unexpected character %r" % text[pos])
+def tokenize(text: str) -> List[_Tok]:
+    """(kind, text, offset) tokens, the last one END.  A '[' that opens no
+    well-formed atom is a token of its own, and the parse fails at it or at
+    one of the two tokens after it; from there on every token is a single
+    atom, so the error names the one it met."""
+    toks: List[_Tok] = []
+    pattern, pos, kind = _WORD_TOKEN_RE, 0, None
+    while kind != "END":
+        m = pattern.match(text, pos)
         kind, pos = m.lastgroup, m.end()
-        if kind == "newline":
-            line, line_start = line + 1, pos
-        elif kind != "space":
-            toks.append(Token(m.group() if kind == "symbol" else kind, m.group(), line, col))
-    toks.append(Token("END", "", line, pos - line_start + 1))
+        tok, at = m.group(kind), m.start(kind)
+        if kind == "BAD":
+            raise _error(text, at, "unexpected character %r" % tok)
+        if kind == "symbol":
+            kind = tok
+            if tok == "[":
+                pattern = _ATOM_TOKEN_RE
+        toks.append((kind, tok, at))
     return toks
+
+
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """The ParseError at text[offset], its line and column counted here."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(text.count("\n", 0, offset) + 1, offset - line_start + 1, message)
 
 
 # ---------------------------------------------------------------- syntax tree
@@ -151,27 +168,31 @@ _THEN = object()  # on _pieces' stack, above the text after a subtree: a 1-tuple
 
 
 class _Parser:
-    def __init__(self, toks: List[Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> _Tok:
         return self.toks[self.pos]
 
-    def take(self) -> Token:
+    def take(self) -> _Tok:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, tok: Token, message: str):
-        raise ParseError(tok.line, tok.col, message)
+    def fail(self, tok: _Tok, message: str):
+        raise _error(self.text, tok[2], message)
 
-    def found(self, tok: Token) -> str:
-        return "end of input" if tok.kind == "END" else repr(tok.text)
+    def found(self, tok: _Tok) -> str:
+        kind, text, _ = tok
+        if kind == "WORD":  # the error names its first atom
+            text = "[" if text[0] == "[" else _LETTER_RE.match(text).group(2)
+        return "end of input" if kind == "END" else repr(text)
 
-    def expect(self, kind: str, what: str) -> Token:
+    def expect(self, kind: str, what: str) -> _Tok:
         tok = self.take()
-        if tok.kind != kind:
+        if tok[0] != kind:
             self.fail(tok, "expected %s, found %s" % (what, self.found(tok)))
         return tok
 
@@ -182,30 +203,28 @@ class _Parser:
         fresh = True
         while True:
             if fresh:  # a leading '-' is the pending operator of an empty sum
-                op = self.take().kind if self.peek().kind == "-" else None
+                op = self.take()[0] if self.peek()[0] == "-" else None
                 total = prod = None
                 scal = self.try_scalar()
             tok = self.peek()
-            involution = tok.kind == "NAME" and tok.text == "A"
-            if involution or tok.kind == "(":
+            involution = tok[:2] == ("NAME", "A")
+            if involution or tok[0] == "(":
                 self.take()
-                if involution and self.take().kind != "(":
+                if involution and self.take()[0] != "(":
                     self.fail(tok, _RESERVED)
                 stack.append((involution, total, op, scal, prod))
                 fresh = True
                 continue
-            if tok.kind not in ("NAME", "["):
+            if tok[0] not in ("WORD", "["):
                 self.fail(tok, "expected a word, '(', or 'A(', found %s" % self.found(tok))
-            letters = [self.atom()]
-            while self.peek().kind == "[" or (
-                self.peek().kind == "NAME" and self.peek().text != "A"
-            ):
-                letters.append(self.atom())
+            letters: List[Tuple[str, str]] = []
+            while self.peek()[0] in ("WORD", "["):  # a word token, and single atoms around it
+                letters += self.atoms()
             node: Node = WordLit(_encode(letters))
             fresh = False
             while True:  # node is a finished factor; close what it finishes
                 prod = node if prod is None else Diamond(prod, node)
-                if self.peek().kind == "*":
+                if self.peek()[0] == "*":
                     self.take()
                     break
                 term = prod if scal is None else Scaled(scal, prod)
@@ -213,8 +232,8 @@ class _Parser:
                     total = Neg(term) if op else term
                 else:
                     total = Add(total, term) if op == "+" else Sub(total, term)
-                if self.peek().kind in ("+", "-"):
-                    op = self.take().kind
+                if self.peek()[0] in ("+", "-"):
+                    op = self.take()[0]
                     scal, prod = self.try_scalar(), None
                     break
                 if not stack:
@@ -224,17 +243,17 @@ class _Parser:
                 involution, total, op, scal, prod = stack.pop()
                 node = Alpha(group) if involution else group
 
-    def integer(self, tok: Token) -> int:
+    def integer(self, tok: _Tok) -> int:
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # over sys.get_int_max_str_digits() digits
             self.fail(tok, "integer longer than %d digits" % sys.get_int_max_str_digits())
 
     def try_scalar(self) -> Optional[Scalar]:
-        if self.peek().kind != "INT":
+        if self.peek()[0] != "INT":
             return None
         scalar = self.integer(self.take())
-        if self.peek().kind == "/":
+        if self.peek()[0] == "/":
             self.take()
             den_tok = self.expect("INT", "a denominator")
             den = self.integer(den_tok)
@@ -242,30 +261,32 @@ class _Parser:
                 self.fail(den_tok, "zero denominator")
             scalar = Fraction(scalar, den)
         dot = self.take()
-        if dot.kind != ".":
+        if dot[0] != ".":
             self.fail(dot, "a scalar attaches with '.', as in 3/2 . x")
         return scalar
 
-    def atom(self) -> Tuple[str, str]:
-        """A letter's name and mark, '0' or '1'; expression() calls it only on
-        '[' or a name other than 'A'.  A NAME token is already a valid name."""
-        tok = self.take()
-        if tok.kind == "NAME":
-            return tok.text, "0"
+    def atoms(self) -> Iterable[Tuple[str, str]]:
+        """The letters' (name, mark) pairs, each mark '0' or '1', of a WORD
+        token, or of one '[' atom token by token; expression() calls it only
+        on those two kinds.  A WORD's names are already valid names."""
+        kind, text, _ = self.take()
+        if kind == "WORD":
+            opens, names = zip(*_LETTER_RE.findall(text))
+            return zip(names, map(_MARK.get, opens))
         name = self.expect("NAME", "a generator name")
-        if name.text == "A":
+        if name[1] == "A":
             self.fail(name, _RESERVED)
         self.expect("]", "']'")
-        return name.text, "1"
+        return [(name[1], "1")]
 
 
 def parse_expression(text: str) -> Node:
-    p = _Parser(tokenize(text))
-    if p.peek().kind == "END":
+    p = _Parser(text)
+    if p.peek()[0] == "END":
         p.fail(p.peek(), "empty expression")
     node = p.expression()
     tail = p.peek()
-    if tail.kind != "END":
+    if tail[0] != "END":
         p.fail(tail, "unexpected %s after the expression" % p.found(tail))
     return node
 

@@ -24,7 +24,8 @@ last letter at bit 0.  The involution is an XOR with ``(1 << len) - 1``, and
 the closed-form product a tuple concat plus a shift and an OR.  Names are
 checked once, where they come in; ``Word.letters`` is a read-only view.
 Only this module reads the packed form: others build and read words as
-(name, mark) pairs with ``_encode`` and ``_decode``, and factor them with ``_split``.
+(name, mark) pairs with ``_encode`` and ``_decode``, print them with ``_text``,
+and factor them with ``_split``.
 
 Everything here is an immutable value and every operation is a pure
 function, so concurrent use needs no coordination.
@@ -111,7 +112,7 @@ class Word:
         return iter(self.letters)
 
     def __str__(self) -> str:
-        return " ".join(f"[{n}]" if m == "1" else n for n, m in _decode(self))
+        return _text(_decode(self))
 
     def __repr__(self) -> str:
         return f"parse_word({str(self)!r})"
@@ -139,6 +140,11 @@ def _encode(pairs: Iterable[Tuple[str, str]]) -> Word:
 def _decode(w: Word) -> Iterator[Tuple[str, str]]:
     """The (name, mark) pairs of a word, first letter first; _encode's inverse."""
     return zip(w.names, format(w.bits, "0%db" % len(w.names)))
+
+
+def _text(pairs: Iterable[Tuple[str, str]]) -> str:
+    """A word's text from its (name, mark) pairs: each name, bracketed for mark '1'."""
+    return " ".join([f"[{n}]" if m == "1" else n for n, m in pairs])
 
 
 def _split(w: Word, s: int) -> Tuple[Word, Word]:

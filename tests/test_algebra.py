@@ -84,6 +84,10 @@ def test_rendering_is_sorted_and_exact():
     assert str(e) == "[y] - 2 . z + 5/6 . x y"
     assert str(AlgebraElement.zero()) == "0"
     assert str(-wd("x")) == "-x"
+    # letter by letter, name before mark: x z first, where the names alone
+    # would put [x] y first; a shorter name before a longer one it begins
+    assert str(wd("[x] y") + wd("x z")) == "x z + [x] y"
+    assert str(wd("x0 y") + wd("[x] y") + wd("x [y]")) == "x [y] + [x] y + x0 y"
 
 
 def test_scalar_multiplication_dunders():

@@ -470,6 +470,7 @@ def test_bench_pairs_gives_a_verdict_on_a_claimed_gain():
         "claim census:wall_s: met (wins 12/12, median -41.7%, parent IQR/median 0.090)"
     )
     assert verdict("BENCH_20.json", "census:wall_s").startswith("claim census:wall_s: met (")
+    assert verdict("BENCH_24.json", "span:op_p99_ms").startswith("claim span:op_p99_ms: met (")
     # 2 of 10 pairs; 3 pairs are too few
     assert verdict("BENCH_19.json", "census:wall_s").startswith("claim census:wall_s: not met (")
     assert verdict("BENCH_8.json", "census:wall_s").startswith("claim census:wall_s: not met (")
@@ -510,6 +511,22 @@ def test_bench_pairs_refuses_a_claim_without_a_colon_and_a_file_without_runs(tmp
         done = _summary(root, bench)
         assert done.returncode == 2 and done.stdout == ""
         assert ("cannot read %s: " % bench) in done.stderr
+
+
+def test_bench_pairs_refuses_a_run_without_the_fields_it_reads(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    bench = tmp_path / "BENCH_test.json"
+    run = {"workload": "span", "seed": 1, "trace": 0, "side": "parent", "result": None}
+    everything = "trace, workload, seed, side, result"
+    cases = [([{}], 0, everything), ([3], 0, everything)]
+    for k, field in enumerate(run):
+        cases.append(([run] * k + [{f: v for f, v in run.items() if f != field}], k, field))
+    for runs, k, missing in cases:
+        bench.write_text(json.dumps({"runs": runs}))
+        done = _summary(root, bench)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.endswith("%s: runs entry %d has no %s\n" % (bench, k, missing))
+        assert "Traceback" not in done.stderr
 
 
 def test_bench_pairs_marks_a_metric_worse_than_its_bound(tmp_path):

@@ -1,7 +1,9 @@
 import functools
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,18 @@ def test_reserved_involution_name():
 
 def test_positions_track_lines():
     expect_error("x +\n+ y", "expected", 2, 1)
+    # the line and column of a token deep in a multi-line word literal
+    expect_error("x [y]\n z\n[w] \t[A]", "reserved", 3, 7)
+    expect_error("x\ny [z]\n  w é", "unexpected character", 3, 5)
+    expect_error("(x\n[y]\n z]", "expected ')', found ']'", 3, 3)
+
+
+def test_an_error_at_the_end_of_a_long_literal_has_its_column():
+    line = " ".join(["x", "[y]"] * 50000)  # 100,000 letters, 299,999 characters
+    expect_error(line + " [A]", "reserved", 1, 300002)
+    expect_error(line + " [z", "expected ']', found end of input", 1, 300003)
+    expect_error(line + " A", "unexpected 'A' after the expression", 1, 300001)
+    expect_error("y\n\n" + line + "\n" + line + "é", "unexpected character", 4, 300000)
 
 
 def test_unbalanced_and_trailing_input():
@@ -166,10 +180,35 @@ def test_bad_names_keep_their_error_texts():
         ("[1x]", "line 1, column 2: expected a generator name, found '1'"),
         ("x [A]", "line 1, column 4: 'A' is reserved for the involution; "
          "name the generator A_ instead"),
+        # a '[' that opens no atom, and a word literal named by its first atom
+        ("[[ y ]", "line 1, column 2: expected a generator name, found '['"),
+        ("[\ry/", "line 1, column 4: expected ']', found '/'"),
+        ("x0*[_[A]2", "line 1, column 6: expected ']', found '['"),
+        ("(x) y z", "line 1, column 5: unexpected 'y' after the expression"),
+        ("((x) [y] z)", "line 1, column 6: expected ')', found '['"),
+        ("2 x y", "line 1, column 3: a scalar attaches with '.', as in 3/2 . x"),
     ]:
         with pytest.raises(ParseError) as info:
             parse_expression(text)
         assert str(info.value) == message
+
+
+CORPUS = Path(__file__).resolve().parent / "data" / "parser_corpus.json"
+
+
+def test_the_parser_answers_its_frozen_corpus_byte_for_byte():
+    # tools/parser_corpus.py recorded these answers; the named cases lead
+    cases = json.loads(CORPUS.read_text(encoding="utf-8"))
+    assert len(cases) >= 2000
+    named = ["[[ y ]", "[\ry/", "x0*[_[A]2", "(x) y z", "2 x y"]
+    assert [text for text, _, _ in cases[:5]] == named
+    answers = []
+    for text, _, _ in cases:
+        try:
+            answers.append([text, "ok", repr(parse_expression(text))])
+        except ParseError as err:
+            answers.append([text, "error", str(err)])
+    assert answers == cases
 
 
 def test_nesting_has_no_depth_cap():

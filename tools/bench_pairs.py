@@ -17,9 +17,9 @@ with a verdict line, ``met`` or ``not met``, on a claimed gain: at least ten
 pairs, the change better in at least nine tenths of them, the medians apart
 by more than the parent's IQR/median in the better direction, and no more
 failed ops than the parent.  It exits 0 either way, and 2 when the file is
-not JSON with a list of runs, or the claim is not WORKLOAD:METRIC or names a
-workload or metric that BENCHMARK.json does not declare.  Standard library
-only.
+not JSON with a list of runs, a run lacks one of the fields it reads, or the
+claim is not WORKLOAD:METRIC or names a workload or metric that
+BENCHMARK.json does not declare.  Standard library only.
 """
 
 import argparse
@@ -57,6 +57,11 @@ def summary(args):
         args.usage_error("cannot read %s: %s" % (args.file, err))
     if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
         args.usage_error("%s holds no list of runs" % args.file)
+    for k, run in enumerate(doc["runs"]):  # the fields summary reads of each run
+        fields = ("trace", "workload", "seed", "side", "result")
+        missing = [f for f in fields if not isinstance(run, dict) or f not in run]
+        if missing:
+            args.usage_error("%s: runs entry %d has no %s" % (args.file, k, ", ".join(missing)))
     declared = json.loads(Path("BENCHMARK.json").read_text())
     bounds = declared["end_to_end"]
     if args.claim:
