@@ -11,12 +11,17 @@ conjugacy class, weighted by the class size: 3, 7 and 19 classes at orders
 2-4 (OEIS A001372).  For such an alpha, M counts the tables on which it is
 multiplicative, of N = n**(n*n) tables.
 
-- One search (below), run once for all these alphas, yields the tables on
-  which one of them is hom-associative.  Under the identity alpha
-  hom-associativity is associativity, so it also yields the labeled
-  semigroups: 113 at order 3.  The kernel sorts each leaf, for its
-  survivors, and each semigroup, for every alpha, by (hom, assoc, mult).
-  That counts every bucket with hom or assoc directly.
+- One search (below), run once for these alphas but the constant one,
+  yields the tables on which one of them is hom-associative.  The opposite
+  product keeps all four laws, so the search keeps one table of each pair
+  {m, m transposed}, weighted 2, or 1 when m is symmetric.  Under the
+  identity alpha hom-associativity is associativity, so a leaf is a
+  semigroup when the identity survives: 88 leaves for 113 at order 3.  The
+  kernel sorts each leaf, for its survivors, and each semigroup, for every
+  alpha, by (hom, assoc, mult).  That counts every bucket with hom or
+  assoc directly, but (yes, no, mult) for the constant alpha c: that is
+  its closed form less its semigroups, as c(yz) = (xy)c separates over
+  row c and column c (_constant_count), and mult means m[c][c] = c.
 - Two buckets follow: (no, no, yes) = M less the counted candidates with
   mult, and (no, no, no) is the rest of N.
 - M has a closed form.  Multiplicativity says m_(T p) = alpha(m_p), where
@@ -163,15 +168,20 @@ def _every_table(n) -> Iterator[Tuple[tuple, List[tuple]]]:
     return ((mul, rows) for mul in itertools.product(rows, repeat=n))
 
 
-def _lawful_tables(n, alphas, mult) -> Iterator[Tuple[tuple, List[tuple]]]:
+def _lawful_tables(n, alphas, mult, opposite=False) -> Iterator[Tuple[tuple, List[tuple]]]:
     """Yield (mul, survivors) for each table some alpha of alphas makes lawful.
 
     Lawful means hom-associative, and multiplicative too when mult is set.
     The search fills the cells row-major, each value ascending, so tables
     come in scan order.  Each node carries the alphas, in their order, that
     no filled cell has ruled out, and is pruned when none is left; a leaf's
-    survivors are exactly the alphas that make it lawful.  Every law
-    instance is checked once, at the cell that completes it:
+    survivors are exactly the alphas that make it lawful.  With opposite
+    set, only one table of each pair {m, m transposed} is yielded: the one
+    whose lower cell (j, i), i < j, holds the larger value at the first
+    unequal mirrored pair, in the order the lower cells are filled.  While
+    the pairs so far are tied, a lower cell skips the values below its
+    mirror's.  Every law instance is checked once, at the cell that
+    completes it:
 
     - with mult, alpha(m_p) = m_(T p), T(i, j) = (ai, aj), at the later of
       p and T p; an involution's pair of cells shares it, and keeps it once.
@@ -198,13 +208,15 @@ def _lawful_tables(n, alphas, mult) -> Iterator[Tuple[tuple, List[tuple]]]:
             fire[max(yz, xy)].append((al[x] * n, yz, xy, al[z]))
         records.append((al, equations, fire, [[] for _ in range(cells)]))
     m = [0] * cells
+    mirror = [(p % n) * n + p // n if p // n > p % n else -1 for p in range(cells)]
 
-    def fill(p, live):
+    def fill(p, live, tied):
         if p == cells:
             mul = tuple(tuple(m[i : i + n]) for i in range(0, cells, n))
             yield mul, [al for al, _, _, _ in live]
             return
-        for v in range(n):
+        q = mirror[p] if tied else -1
+        for v in range(m[q] if q >= 0 else 0, n):
             m[p] = v
             kept = []
             for rec in live:
@@ -232,13 +244,13 @@ def _lawful_tables(n, alphas, mult) -> Iterator[Tuple[tuple, List[tuple]]]:
                 watch = rec[3]
                 for t, d, e in new:
                     watch[t].append((d, e))
-            yield from fill(p + 1, [rec for rec, _ in kept])
+            yield from fill(p + 1, [rec for rec, _ in kept], tied and (q < 0 or v == m[q]))
             for rec, new in kept:
                 watch = rec[3]
                 for t, _, _ in new:
                     watch[t].pop()
 
-    return fill(0, records)
+    return fill(0, records, opposite)
 
 
 def _least(tables, group) -> Iterator[Tuple[tuple, List[tuple]]]:
@@ -335,23 +347,43 @@ def _fixed(g, arity) -> Iterator[tuple]:
         yield tuple(f)
 
 
-def census(order: int, up_to_iso: bool = False) -> Census:
-    """Classify every candidate of the given order against all four laws.
+def _constant_count(n, c) -> Tuple[int, int]:
+    """Hom-associative tables of the constant alpha c: (m[c][c] == c, not).
 
-    The counts come per alpha conjugacy class from one pruning search, the
-    kernel and a closed form; with up_to_iso, Burnside's lemma gives the
-    classes, its terms classified by _scan (module docstring).
+    c(yz) = (xy)c separates.  With L row c and R column c, so L[c] = R[c],
+    and k_y = L(R(y)), a table is hom-associative exactly when R(L(y)) =
+    k_y, L(L(y)) = k_c and R(R(y)) = k_c for every y, and each other cell
+    (y, z) holds a u with L(u) = k_y and R(u) = k_z.  So the count is a sum
+    over row c and column c of a product of u-counts; n**(2n-1) terms.
     """
-    if not 1 <= order <= 3:
-        raise ValueError("census is exhaustive, order must be 1, 2, or 3")
-    n, classes = order, _alpha_classes(order)
-    reps = [al for al, _ in classes]
+    others = [y for y in range(n) if y != c]
+    found = [0, 0]
+    for row in itertools.product(range(n), repeat=n):
+        for rest in itertools.product(range(n), repeat=n - 1):
+            col = rest[:c] + (row[c],) + rest[c:]
+            k = [row[col[y]] for y in range(n)]
+            if all(col[row[y]] == k[y] and row[row[y]] == col[col[y]] == k[c] for y in range(n)):
+                u = collections.Counter(zip(row, col))
+                found[row[c] == c] += math.prod(u[k[y], k[z]] for y in others for z in others)
+    return found[1], found[0]
+
+
+def _raw_quads(n) -> collections.Counter:
+    """The raw counts by (hom, assoc, mult, invol), per alpha class (module docstring)."""
+    classes, identity, constant = _alpha_classes(n), tuple(range(n)), (0,) * n
+    searched = [al for al, _ in classes if al != constant or al == identity]
     # per alpha: the tables of the search and the semigroups by (hom, assoc, mult)
-    seen = {al: collections.Counter() for al in reps}
-    for mul, survivors in _lawful_tables(n, reps, False):
-        assoc = _assoc_witness(mul, n) is None
-        for al in reps if assoc else survivors:
-            seen[al][al in survivors, assoc, _mult_witness(mul, al, n) is None] += 1
+    seen = {al: collections.Counter() for al, _ in classes}
+    for mul, survivors in _lawful_tables(n, searched, False, opposite=True):
+        weight = 1 if mul == tuple(zip(*mul)) else 2
+        assoc = identity in survivors
+        for al in seen if assoc else survivors:
+            hom = al in survivors if al in searched else _hom_witness(mul, al, n) is None
+            seen[al][hom, assoc, _mult_witness(mul, al, n) is None] += weight
+    if constant not in searched:
+        buckets = seen[constant]
+        for mult, k in zip((True, False), _constant_count(n, 0)):
+            buckets[True, False, mult] = k - buckets[True, True, mult]
     quads = collections.Counter()
     for al, size in classes:
         buckets = seen[al]
@@ -360,6 +392,19 @@ def census(order: int, up_to_iso: bool = False) -> Census:
         invol = _invol_witness(al, n) is None
         for (hom, assoc, mult), k in buckets.items():
             quads[hom, assoc, mult, invol] += size * k
+    return quads
+
+
+def census(order: int, up_to_iso: bool = False) -> Census:
+    """Classify every candidate of the given order against all four laws.
+
+    The counts come per alpha conjugacy class from one pruning search, the
+    kernel and two closed forms; with up_to_iso, Burnside's lemma gives the
+    classes, its terms classified by _scan (module docstring).
+    """
+    if not 1 <= order <= 3:
+        raise ValueError("census is exhaustive, order must be 1, 2, or 3")
+    n, quads = order, _raw_quads(order)
     if up_to_iso:
         # Burnside's lemma over one g per cycle type, weighted by the type's
         # size; the identity's term, the first, is the raw count above

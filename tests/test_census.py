@@ -13,6 +13,7 @@ import pytest
 from invhom.census import (
     Census,
     _alpha_classes,
+    _constant_count,
     _every_table,
     _fixed,
     _lawful_tables,
@@ -485,8 +486,9 @@ def test_fixed_candidates_are_those_relabeling_leaves_alone(order):
 
 
 def test_census_runs_the_law_kernel_on_few_candidates(monkeypatch):
-    # the search decides hom-associativity for the raw census; the kernel sorts
-    # its leaves and the 113 semigroups, and classifies the 324 order-3
+    # the search decides hom-associativity for the raw census, on one table of
+    # each opposite pair; the kernel sorts its leaves and its 88 semigroups,
+    # decides the constant alpha on those, and classifies the 324 order-3
     # candidates that a transposition or a 3-cycle fixes
     module, calls = importlib.import_module("invhom.census"), collections.Counter()
     for name in ("_hom_witness", "_assoc_witness", "_mult_witness"):
@@ -496,10 +498,36 @@ def test_census_runs_the_law_kernel_on_few_candidates(monkeypatch):
             return law(*args)
 
         monkeypatch.setattr(module, name, counted)
-    for up_to_iso, frozen, hom in ((False, ORDER3_RAW, 0), (True, ORDER3_ISO, 324)):
+    for up_to_iso, frozen, hom in ((False, ORDER3_RAW, 88), (True, ORDER3_ISO, 412)):
         calls.clear()
         assert census(3, up_to_iso=up_to_iso).counts == frozen
-        assert sum(calls.values()) <= 3500 and calls["_hom_witness"] == hom
+        assert sum(calls.values()) <= 2000 and calls["_hom_witness"] == hom
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_constant_alpha_closed_form_counts_the_search_leaves(order):
+    # the search with the constant alpha alone, its leaves split by
+    # multiplicativity, against the closed form over row c and column c
+    for c in range(order):
+        constant = (c,) * order
+        leaves = _lawful_tables(order, [constant], False)
+        mult = [_mult_witness(mul, constant, order) is None for mul, _ in leaves]
+        assert _constant_count(order, c) == (sum(mult), len(mult) - sum(mult)), c
+
+
+@pytest.mark.parametrize("mult", [False, True])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_opposite_halving_keeps_one_table_of_each_opposite_pair(order, mult):
+    # the kept leaves and their transposes are the full leaves, each once, with
+    # the same survivors; a symmetric table is kept once
+    rows = list(itertools.product(range(order), repeat=order))
+    for alphas in (rows, [al for al, _ in _alpha_classes(order)], _involutions(order)):
+        full = dict(_lawful_tables(order, alphas, mult))
+        kept = dict(_lawful_tables(order, alphas, mult, opposite=True))
+        mirrored = {_opposite(mul): survivors for mul, survivors in kept.items()}
+        assert {**kept, **mirrored} == full
+        assert all(mul == _opposite(mul) for mul in kept.keys() & mirrored.keys())
+        assert list(kept) == [mul for mul in full if mul in kept]
 
 
 LAWFUL = dict(hom_associative=True, multiplicative=True, involutive_alpha=True)

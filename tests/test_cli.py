@@ -529,6 +529,32 @@ def test_bench_pairs_refuses_a_run_without_the_fields_it_reads(tmp_path):
         assert "Traceback" not in done.stderr
 
 
+def test_bench_pairs_refuses_a_result_without_the_fields_it_reads(tmp_path):
+    # a pair of seed 1 whose results lack failed, metrics or a metric's value
+    root = Path(__file__).resolve().parent.parent
+    bench = tmp_path / "BENCH_test.json"
+    bounds = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    names = [spec["name"] for spec in bounds]
+    full = {"failed": 0, "metrics": {name: {"value": 1.0} for name in names}}
+    no_value = {"failed": 0, "metrics": {**full["metrics"], "wall_s": {"unit": "s"}}}
+    cases = [
+        ({"x": 1}, "failed"),
+        ({"failed": 0}, "metrics.%s.value" % names[0]),
+        (no_value, "metrics.wall_s.value"),
+        ([1], "failed"),
+    ]
+    for result, missing in cases:
+        for sides, k in (((result, result), 0), ((full, result), 1)):
+            runs = [{"workload": "census", "seed": 1, "trace": 0, "side": side, "result": r}
+                    for side, r in zip(("parent", "change"), sides)]
+            bench.write_text(json.dumps({"runs": runs}))
+            done = _summary(root, bench)
+            assert done.returncode == 2 and done.stdout == ""
+            tail = "%s: runs entry %d has no result.%s\n" % (bench, k, missing)
+            assert done.stderr.endswith(tail)
+            assert "Traceback" not in done.stderr
+
+
 def test_bench_pairs_marks_a_metric_worse_than_its_bound(tmp_path):
     # three pairs: wall_s 30% worse than the parent, beyond its 0.25 bound;
     # peak_rss_mb 9% worse, inside its 0.1 bound; work_per_s 30% better

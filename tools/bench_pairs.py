@@ -17,8 +17,9 @@ with a verdict line, ``met`` or ``not met``, on a claimed gain: at least ten
 pairs, the change better in at least nine tenths of them, the medians apart
 by more than the parent's IQR/median in the better direction, and no more
 failed ops than the parent.  It exits 0 either way, and 2 when the file is
-not JSON with a list of runs, a run lacks one of the fields it reads, or the
-claim is not WORKLOAD:METRIC or names a workload or metric that
+not JSON with a list of runs, a run or an untraced run's result lacks one
+of the fields it reads (``failed``, each declared metric's ``value``), or
+the claim is not WORKLOAD:METRIC or names a workload or metric that
 BENCHMARK.json does not declare.  Standard library only.
 """
 
@@ -64,6 +65,15 @@ def summary(args):
             args.usage_error("%s: runs entry %d has no %s" % (args.file, k, ", ".join(missing)))
     declared = json.loads(Path("BENCHMARK.json").read_text())
     bounds = declared["end_to_end"]
+    wanted = [("failed",)] + [("metrics", spec["name"], "value") for spec in bounds]
+    for k, run in enumerate(doc["runs"]):  # the fields summary reads of each result
+        for path in wanted if run["trace"] == 0 and run["result"] else []:
+            node = run["result"]
+            for key in path:
+                if not isinstance(node, dict) or key not in node:
+                    args.usage_error("%s: runs entry %d has no result.%s"
+                                     % (args.file, k, ".".join(path)))
+                node = node[key]
     if args.claim:
         workload, colon, name = args.claim.partition(":")
         if not colon:
