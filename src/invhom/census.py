@@ -62,9 +62,9 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ._record import _Record
 from .finite import FiniteHomMagma
 from .finite import _assoc_witness, _hom_witness, _invol_witness, _mult_witness
 
@@ -102,8 +102,7 @@ def canonical_form(mul, alpha) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     )
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(_Record):
     """Counts of candidates by the quadruple of laws they satisfy.
 
     Keys of ``counts`` are (hom_associative, associative, multiplicative,
@@ -111,10 +110,15 @@ class Census:
     are of isomorphism classes instead of raw tables.
     """
 
-    order: int
-    total_candidates: int
-    counts: Dict[Quad, int]
-    up_to_iso: bool = False
+    __slots__ = ("order", "total_candidates", "counts", "up_to_iso")
+
+    def __init__(
+        self, order: int, total_candidates: int, counts: Dict[Quad, int], up_to_iso: bool = False
+    ):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "total_candidates", total_candidates)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "up_to_iso", up_to_iso)
 
     def law_count(
         self,

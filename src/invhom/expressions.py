@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Tuple, TypeVar, Union
 
+from ._record import _Record
 from .algebra import AlgebraElement, Scalar, _combine, alpha_alg, diamond_alg
 from .words import NAME_PATTERN, Word, _decode, _encode, alpha_word
 from .words import diamond_closed as diamond  # the word '*'; perfbench/smoke.py swaps it
@@ -102,9 +102,11 @@ def _error(text: str, offset: int, message: str) -> ParseError:
 
 # ---------------------------------------------------------------- syntax tree
 
-class _Node:
-    """``==``, ``hash`` and ``repr`` read the pieces of the dataclass text from
+class _Node(_Record):
+    """``==``, ``hash`` and ``repr`` read the pieces of the repr text from
     one pre-order pass, so any depth works; words and coefficients stay objects."""
+
+    __slots__ = ()
 
     def __eq__(self, other):
         same = other.__class__ is self.__class__
@@ -120,43 +122,57 @@ class _Node:
             raise ValueError(_TOO_LONG % sys.get_int_max_str_digits()) from None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class WordLit(_Node):
-    word: Word
+    __slots__ = ("word",)
+
+    def __init__(self, word: Word):
+        object.__setattr__(self, "word", word)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Alpha(_Node):
-    expr: "Node"
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Node):
+        object.__setattr__(self, "expr", expr)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Diamond(_Node):
-    left: "Node"
-    right: "Node"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Add(_Node):
-    left: "Node"
-    right: "Node"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Sub(_Node):
-    left: "Node"
-    right: "Node"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
-    expr: "Node"
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Node):
+        object.__setattr__(self, "expr", expr)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Scaled(_Node):
-    coeff: Scalar  # an int, or a Fraction when the scalar has a denominator
-    expr: "Node"
+    __slots__ = ("coeff", "expr")  # coeff: an int, or a Fraction when there is a denominator
+
+    def __init__(self, coeff: Scalar, expr: Node):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "expr", expr)
 
 
 Node = Union[WordLit, Alpha, Diamond, Add, Sub, Neg, Scaled]
@@ -415,8 +431,8 @@ _FORMATS = {  # render_expr's text around each node's fields, split at the slots
     }.items()
 }
 
-_REPRS = {  # the dataclass text, as ["Diamond(left=", ", right=", ")"]
-    c: ("%s(%s)" % (c.__qualname__, ", ".join(f.name + "=%s" for f in fields(c)))).split("%s")
+_REPRS = {  # the repr text, as ["Diamond(left=", ", right=", ")"]
+    c: ("%s(%s)" % (c.__qualname__, ", ".join(f + "=%s" for f in c.__slots__))).split("%s")
     for c in _FORMATS
 }
 

@@ -7,27 +7,26 @@ failing structure always produces the same witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from ._record import _Record
 
-@dataclass(frozen=True)
-class FiniteHomMagma:
+
+class FiniteHomMagma(_Record):
     """A finite carrier with product table ``mul`` and unary table ``alpha``.
 
     labels: one name per element, all distinct and nonempty.
     mul:    n by n table of element indices, mul[i][j] = index of i * j.
     alpha:  n element indices, alpha[i] = index of the image of i.
+    Each is stored as a tuple, the table as a tuple of row tuples.
     """
 
-    labels: Tuple[str, ...]
-    mul: Tuple[Tuple[int, ...], ...]
-    alpha: Tuple[int, ...]
+    __slots__ = ("labels", "mul", "alpha")
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        mul = tuple(tuple(row) for row in self.mul)
-        alpha = tuple(self.alpha)
+    def __init__(self, labels: Sequence[str], mul: Sequence[Sequence[int]], alpha: Sequence[int]):
+        labels = tuple(labels)
+        mul = tuple(tuple(row) for row in mul)
+        alpha = tuple(alpha)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "alpha", alpha)
@@ -144,20 +143,33 @@ _LAW_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(_Record):
     """Outcome of the four law checks, each with its witness when it fails."""
 
-    hom_associative: bool
-    associative: bool
-    multiplicative: bool
-    involutive_alpha: bool
-    hom_witness: Optional[Tuple[str, str, str]] = None
-    assoc_witness: Optional[Tuple[str, str, str]] = None
-    mult_witness: Optional[Tuple[str, str]] = None
-    invol_witness: Optional[str] = None
+    __slots__ = (
+        "hom_associative", "associative", "multiplicative", "involutive_alpha",
+        "hom_witness", "assoc_witness", "mult_witness", "invol_witness",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        hom_associative: bool,
+        associative: bool,
+        multiplicative: bool,
+        involutive_alpha: bool,
+        hom_witness: Optional[Tuple[str, str, str]] = None,
+        assoc_witness: Optional[Tuple[str, str, str]] = None,
+        mult_witness: Optional[Tuple[str, str]] = None,
+        invol_witness: Optional[str] = None,
+    ):
+        object.__setattr__(self, "hom_associative", hom_associative)
+        object.__setattr__(self, "associative", associative)
+        object.__setattr__(self, "multiplicative", multiplicative)
+        object.__setattr__(self, "involutive_alpha", involutive_alpha)
+        object.__setattr__(self, "hom_witness", hom_witness)
+        object.__setattr__(self, "assoc_witness", assoc_witness)
+        object.__setattr__(self, "mult_witness", mult_witness)
+        object.__setattr__(self, "invol_witness", invol_witness)
         for _, flag_field, wit_field, _ in _LAW_ROWS:
             flag = getattr(self, flag_field)
             wit = getattr(self, wit_field)

@@ -12,9 +12,9 @@ constructor enforces all three.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ._record import _Record
 from .finite import (
     FiniteHomMagma,
     check_hom_associative,
@@ -51,17 +51,19 @@ def _require_lawful(target: FiniteHomMagma) -> None:
             raise _UnlawfulTarget(law, parts, "%s, witness %s" % (message, shown))
 
 
-@dataclass(frozen=True)
-class GeneratorAssignment:
-    target: FiniteHomMagma
-    mapping: Dict[str, int]
+class GeneratorAssignment(_Record):
+    """Generator names sent to element indices of a lawful finite target."""
 
-    def __post_init__(self):
-        _require_lawful(self.target)
-        object.__setattr__(self, "mapping", dict(self.mapping))
-        for name, v in self.mapping.items():
+    __slots__ = ("target", "mapping")
+
+    def __init__(self, target: FiniteHomMagma, mapping: Dict[str, int]):
+        _require_lawful(target)
+        mapping = dict(mapping)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mapping", mapping)
+        for name, v in mapping.items():
             _check_name(name)
-            if not isinstance(v, int) or not 0 <= v < self.target.order:
+            if not isinstance(v, int) or not 0 <= v < target.order:
                 raise ValueError("generator %r must map to an element index" % name)
 
     @classmethod

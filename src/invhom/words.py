@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
+
+from ._record import _Record
 
 # The one rule for a generator name; the expression tokenizer uses it too.
 NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -48,17 +49,17 @@ def _check_name(name) -> None:
         raise ValueError(f"bad generator name {name!r}: need {NAME_PATTERN}")
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(_Record):
     """One generator occurrence with its exponent bit (0 bare, 1 bracketed)."""
 
-    name: str
-    bit: int = 0
+    __slots__ = ("name", "bit")
 
-    def __post_init__(self) -> None:
-        _check_name(self.name)
-        if self.bit not in (0, 1):
-            raise ValueError(f"exponent bit must be 0 or 1, got {self.bit!r}")
+    def __init__(self, name: str, bit: int = 0) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "bit", bit)
+        _check_name(name)
+        if bit not in (0, 1):
+            raise ValueError(f"exponent bit must be 0 or 1, got {bit!r}")
 
     def flipped(self) -> Letter:
         return Letter(self.name, (self.bit + 1) % 2)

@@ -18,7 +18,7 @@ from invhom.census import iter_matching
 from invhom.expressions import eval_algebra
 from invhom.finite import fixture
 from invhom.universal import GeneratorAssignment, extend
-from invhom.words import Letter, Word, iter_words, parse_word
+from invhom.words import Letter, Word, alpha_word, diamond, iter_words, parse_word
 
 letters = st.builds(Letter, st.sampled_from(["x", "y", "z"]), st.integers(0, 1))
 words = st.builds(Word, st.lists(letters, min_size=1, max_size=4).map(tuple))
@@ -231,3 +231,81 @@ def test_the_span_maps_into_the_semigroup_algebra_of_a_lawful_target():
                 fx, fy = _image(assign, x), _image(assign, y)
                 assert _image(assign, x * y) == _times(target, fx, fy)
                 assert _image(assign, alpha_alg(x)) == {target.alpha[t]: c for t, c in fx.items()}
+
+
+# ---------------------------------------------------------------- against M_k(Q)
+# Let alpha be conjugation of k by k rational matrices by a diagonal matrix
+# of signs.  It is an involutive automorphism of matrix multiplication, so
+# the Yau twist M_k(Q) with product alpha(XY) is hom-associative, and alpha
+# is multiplicative.  Generators go to any rational matrices; F folds a
+# word's letter images in from the right, as extend does, and extends
+# linearly to the span.  F must then be a morphism.  Transposing is an
+# anti-automorphism, so with it in place of alpha the check must fail.
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _conjugation(signs):
+    """X -> DXD, D the diagonal matrix of the signs: entry (i, j) times s_i s_j."""
+    return lambda m: tuple(
+        tuple(v if s == t else -v for t, v in zip(signs, row)) for s, row in zip(signs, m)
+    )
+
+
+def _transpose(m):
+    return tuple(zip(*m))
+
+
+def _matrix_morphism_failure(alpha, images, rng):
+    """The first pair, of words or of span elements, where F breaks
+    F(u <> v) = alpha(F(u) F(v)) or F(alpha(u)) = alpha(F(u)), or None."""
+    memo = {}
+
+    def f(w):  # F on a word, folded from the right over its letters
+        if w not in memo:
+            head, *rest = w.letters
+            first = alpha(images[head.name]) if head.bit else images[head.name]
+            memo[w] = alpha(_matmul(first, f(Word(rest)))) if rest else first
+        return memo[w]
+
+    def f_span(a):
+        k = len(next(iter(images.values())))
+        out = tuple(tuple(Fraction(0) for _ in range(k)) for _ in range(k))
+        for w, c in a.terms.items():
+            out = tuple(tuple(s + c * t for s, t in zip(r, q)) for r, q in zip(out, f(w)))
+        return out
+
+    words = list(iter_words(sorted(images), 3))
+    for u, v in itertools.product(words, repeat=2):
+        if f(diamond(u, v)) != alpha(_matmul(f(u), f(v))) or f(alpha_word(u)) != alpha(f(u)):
+            return (u, v)
+    for _ in range(4):
+        a, b = (AlgebraElement([(rng.choice(words), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                                for _ in range(3)]) for _ in range(2))
+        if f_span(diamond_alg(a, b)) != alpha(_matmul(f_span(a), f_span(b))):
+            return (a, b)
+        if f_span(alpha_alg(a)) != alpha(f_span(a)):
+            return (a, b)
+    return None
+
+
+_MATRIX_TARGETS = [  # (signs of the diagonal, images of x and y)
+    ((1, -1), {
+        "x": ((1, Fraction(1, 2)), (-2, 3)),
+        "y": ((0, -1), (Fraction(2, 3), 1)),
+    }),
+    ((1, -1, -1), {
+        "x": ((1, Fraction(1, 2), 0), (-2, 3, Fraction(-1, 3)), (0, 1, 1)),
+        "y": ((0, -1, 2), (Fraction(2, 3), 1, 0), (1, 0, Fraction(5, 4))),
+    }),
+]
+
+
+@pytest.mark.parametrize("signs, images", _MATRIX_TARGETS, ids=["M2", "M3"])
+def test_the_span_maps_into_a_twisted_matrix_algebra(signs, images):
+    rng = random.Random(len(signs))
+    assert _matrix_morphism_failure(_conjugation(signs), images, rng) is None
+    # the negative control: transposing reverses products, and the check sees it
+    assert _matrix_morphism_failure(_transpose, images, rng) is not None
