@@ -133,15 +133,21 @@ def verify_uniqueness(
     undo the twist on the suffix to get v.  Any morphism that agrees on
     shorter words must therefore take the value extend(u) extend(v) at w.
     Returns the first (word, split) where extension breaks that, or None.
+
+    Words come shortest first, so both factors of every split were visited
+    before their product: their images are looked up, not folded again.
+    Each word is still extended once and every split compared, in the same
+    order, so the witness is the same as with fresh folds of the factors.
     """
     names = sorted(assign.mapping)
     if len(names) > 3 or max_len > 5:
         raise ValueError("exhaustive check is capped at 3 generators, length 5")
     mul = assign.target.mul
+    images: Dict[Word, int] = {}
     for w in iter_words(names, max_len):
-        image = extend(assign, w)
+        image = images[w] = extend(assign, w)
         for s in range(1, len(w)):
             u, v = _split(w, s)
-            if image != mul[extend(assign, u)][extend(assign, v)]:
+            if image != mul[images[u]][images[v]]:
                 return (w, s)
     return None

@@ -168,11 +168,16 @@ def parse_word(text: str) -> Word:
         raise ValueError("empty word: a word has at least one letter")
     names, marks = [], []
     for atom in atoms:
-        bracketed = atom.startswith("[") and atom.endswith("]") and len(atom) > 2
-        name = atom[1:-1] if bracketed else atom
+        if atom[0] == "[" and atom[-1] == "]" and len(atom) > 2:
+            names.append(atom[1:-1])
+            marks.append("1")
+        else:
+            names.append(atom)
+            marks.append("0")
+    # one check per distinct name, in first-occurrence order, so the error
+    # still names the first bad atom of the text
+    for name in dict.fromkeys(names):
         _check_name(name)
-        names.append(name)
-        marks.append("1" if bracketed else "0")
     return _packed(tuple(names), int("".join(marks), 2))
 
 

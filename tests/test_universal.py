@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from invhom import universal
 from invhom.census import iter_matching
-from invhom.finite import FiniteHomMagma, adjoin_zero, fixture
+from invhom.finite import FiniteHomMagma, adjoin_zero, classify, fixture
 from invhom.universal import (
     GeneratorAssignment,
     extend,
     verify_morphism,
     verify_uniqueness,
 )
-from invhom.words import Letter, Word, alpha_word, diamond, iter_words, parse_word
+from invhom.words import Letter, Word, _split, alpha_word, diamond, iter_words, parse_word
 
 
 def swap_assignment(**mapping):
@@ -160,16 +160,24 @@ def test_verify_morphism_passes_on_a_true_assignment():
         verify_morphism(swap_assignment())
 
 
+def forgets_alpha(assign, w):
+    # the criterion-7 fold: the base case drops the alpha twist on marked letters
+    head = w.letters[0]
+    img = assign.mapping[head.name]
+    if len(w.letters) == 1:
+        return img
+    return assign.target.mul[img][forgets_alpha(assign, Word(w.letters[1:]))]
+
+
+def wrong_at_length_three(assign, w):
+    # the true fold, moved to the next element on words of three letters
+    img = extend(assign, w)
+    return (img + 1) % assign.target.order if len(w) == 3 else img
+
+
 def test_verify_morphism_catches_a_corrupted_base_case(monkeypatch):
     # drop the alpha twist on marked letters and the morphism laws break
-    def crooked(assign, w):
-        head = w.letters[0]
-        img = assign.mapping[head.name]
-        if len(w.letters) == 1:
-            return img
-        return assign.target.mul[img][crooked(assign, Word(w.letters[1:]))]
-
-    monkeypatch.setattr(universal, "extend", crooked)
+    monkeypatch.setattr(universal, "extend", forgets_alpha)
     f = swap_assignment(x="x", y="y")
     assert verify_morphism(f, max_len=5, samples=300, seed=7) is not None
 
@@ -188,15 +196,43 @@ def test_verify_uniqueness_on_fixture_assignments():
             assert verify_uniqueness(f, max_len=4) is None
 
 
-def test_verify_uniqueness_cap():
+def test_verify_uniqueness_cap(order4_classes):
     f = swap_assignment(x="x")
     with pytest.raises(ValueError):
         verify_uniqueness(f, max_len=6)
+    # at the cap, three generators to length 5: 6 + 36 + 216 + 1296 + 7776 words
+    assert sum(1 for _ in iter_words(["x", "y", "z"], 5)) == 9330
+    m = next(m for m in order4_classes if classify(m).associative is False)
+    f = GeneratorAssignment(m, {"x": 0, "y": 3, "z": 1})
+    assert verify_uniqueness(f, max_len=5) is None
+
+
+def first_split_failure(assign, max_len):
+    """verify_uniqueness with both factors of every split folded afresh."""
+    mul = assign.target.mul
+    for w in iter_words(sorted(assign.mapping), max_len):
+        image = universal.extend(assign, w)
+        for s in range(1, len(w)):
+            u, v = _split(w, s)
+            if image != mul[universal.extend(assign, u)][universal.extend(assign, v)]:
+                return (w, s)
+    return None
+
+
+@pytest.mark.parametrize("fold", [forgets_alpha, wrong_at_length_three])
+def test_verify_uniqueness_catches_a_corrupted_fold(monkeypatch, fold):
+    f = swap_assignment(x="x", y="y")
+    monkeypatch.setattr(universal, "extend", fold)
+    witness = verify_uniqueness(f, max_len=4)
+    assert witness is not None
+    assert witness == first_split_failure(f, max_len=4)
+    if fold is wrong_at_length_three:
+        assert len(witness[0]) == 3
 
 
 def test_split_factorizations_recover_the_word():
     # the factorization used by the uniqueness check really is a product
-    from invhom.words import _split, alpha_power, iter_words
+    from invhom.words import alpha_power
 
     for w in iter_words(["x", "y"], 5):
         for s in range(1, len(w)):

@@ -80,6 +80,8 @@ def test_bad_names_keep_their_error_texts():
         (lambda: Letter(3), "bad generator name 3" + need),
         (lambda: parse_word("x y-z"), "bad generator name 'y-z'" + need),
         (lambda: parse_word("[]"), "bad generator name '[]'" + need),
+        # a bad name seen twice is still reported before a later bad one
+        (lambda: parse_word("x q-r y-z q-r"), "bad generator name 'q-r'" + need),
         (lambda: embed("1x"), "bad generator name '1x'" + need),
         (lambda: next(iter_words(["x", "y-"], 1)), "bad generator name 'y-'" + need),
         (lambda: Word(()), "empty word: a word has at least one letter"),
@@ -112,6 +114,46 @@ def test_parse_and_render():
 @given(words)
 def test_parse_render_round_trip(w):
     assert parse_word(render_word(w)) == w
+
+
+def reference_parse_word(text):
+    """parse_word one atom at a time: each atom checked as it is read."""
+    atoms = text.split()
+    if not atoms:
+        raise ValueError("empty word: a word has at least one letter")
+    letters = []
+    for atom in atoms:
+        bracketed = atom.startswith("[") and atom.endswith("]") and len(atom) > 2
+        letters.append(Letter(atom[1:-1] if bracketed else atom, int(bracketed)))
+    return Word(tuple(letters))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as err:
+        return type(err), str(err)
+
+
+good_atoms = st.sampled_from(["x", "y", "q_1", "_"]).flatmap(
+    lambda name: st.sampled_from([name, "[%s]" % name])
+)
+bad_atoms = st.sampled_from(["[]", "[[x]]", "[x", "x]", "y-z", "1x"])
+separators = st.text(" \t\n", min_size=1, max_size=3)
+texts = (
+    st.tuples(
+        st.text(" \t\n", max_size=2),
+        st.lists(st.tuples(good_atoms | bad_atoms, separators), max_size=12),
+    ).map(lambda t: t[0] + "".join(atom + sep for atom, sep in t[1]))
+    | st.text(" \t\n", max_size=4)
+)
+
+
+@given(texts)
+@settings(max_examples=300)
+def test_parse_word_matches_the_per_atom_reference(text):
+    # the same word, or the same exception type and message, on every text
+    assert _outcome(parse_word, text) == _outcome(reference_parse_word, text)
 
 
 @given(words | long_words)
